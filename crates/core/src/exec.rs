@@ -423,7 +423,7 @@ fn drive(
             let mut woken: Vec<usize> = Vec::new();
             loop {
                 let ws = wave.as_mut().expect("checked above");
-                woken.extend(wave_recv_next(nc, cells, ws));
+                let filled = wave_recv_next(nc, cells, ws, &mut woken);
                 if ws.next == ws.pending.len() {
                     let ws = wave.take().expect("checked above");
                     finalize_wave(nc, &ws);
@@ -445,7 +445,7 @@ fn drive(
                             vec![
                                 ("dests_done", ArgValue::U64(ws.next as u64)),
                                 ("dests_total", ArgValue::U64(ws.pending.len() as u64)),
-                                ("woken", ArgValue::U64(woken.len() as u64)),
+                                ("woken", ArgValue::U64(filled)),
                             ],
                         );
                     }
@@ -554,18 +554,27 @@ fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
     }
 }
 
-/// Reusable wave-construction buffer (bundle-path allocation diet): the
+/// Reusable wave-construction buffers (bundle-path allocation diet): the
 /// former per-wave `BTreeMap`-of-`BTreeMap` dedup is one flat stable sort
 /// in a buffer that keeps its capacity across waves.
 #[derive(Default)]
 struct WaveBufs {
-    /// `(dest, array, idx, vp, slot)` per queued request.
-    flat: Vec<(usize, u32, u64, usize, u64)>,
+    /// `(dest, array, idx, vp, ticket)` per queued request.
+    flat: Vec<(usize, u32, u64, usize, u32)>,
+    /// One destination's `(vp, ticket)` waiters, sorted to sum fills.
+    waiters: Vec<(usize, u32)>,
 }
 
-/// One destination's share of a wave: the destination node, each request
-/// ticket's `(vp, slot)` waiter group, and each ticket's `(array, idx)`.
-type DestPending = (usize, Vec<Vec<(usize, u64)>>, Vec<(u32, u64)>);
+/// One destination's share of a wave, as ranges into [`WaveState`]'s flat
+/// vecs.
+struct DestPending {
+    dest: usize,
+    /// This destination's wire entries in [`WaveState::keys`]; an entry's
+    /// echoed ticket is its offset from `keys.start`.
+    keys: std::ops::Range<usize>,
+    /// This destination's summed fills in [`WaveState::fills`].
+    fills: std::ops::Range<usize>,
+}
 
 /// A refresh part addressed to this node, parked until the invalidation
 /// sweep has run: `(array, idxs, values, mine_flags)`.
@@ -581,10 +590,15 @@ type CollectedRefresh = (
 /// (`pump_recv` stashes the early ones), so the VP wake order — with or
 /// without pipelining — never depends on network timing (DESIGN.md §13).
 struct WaveState {
-    /// Per destination, ascending: the destination node, each request
-    /// ticket's `(vp, slot)` waiter group, and each ticket's
-    /// `(array, global idx)` (the read cache needs the index on fill).
+    /// Per destination, ascending.
     pending: Vec<DestPending>,
+    /// `(array, global idx)` of every wire entry, destinations back to
+    /// back: the store needs the index to land a response value.
+    keys: Vec<(u32, u64)>,
+    /// `(vp, read ticket, waiters)` per destination, summed per (VP,
+    /// ticket) and sorted by VP, destinations back to back: one response
+    /// fills each woken VP's tickets under one scratch lock.
+    fills: Vec<(usize, u32, u32)>,
     /// Destinations consumed so far; `pending[next]` is the next to drain.
     next: usize,
     dests: u64,
@@ -606,13 +620,13 @@ fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
         for (dest, entries) in inner.reqs.iter_mut().enumerate() {
             // drain() keeps each destination Vec's capacity for later waves.
             for e in entries.drain(..) {
-                bufs.flat.push((dest, e.array, e.idx, e.vp, e.slot));
+                bufs.flat.push((dest, e.array, e.idx, e.vp, e.ticket));
             }
         }
         inner.phase.global_seq
     };
     // Stable sort: requests for the same (dest, array, idx) keep their
-    // ascending-VP-rank queue order, so wire bundles and ticket groups are
+    // ascending-VP-rank queue order, so wire bundles and fills are
     // deterministic (`reqs` is dense and indexed by destination, so the
     // flat buffer is already in ascending-destination order; the sort's
     // leading dest key is then a stable no-op).
@@ -621,6 +635,8 @@ fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
 
     let mut ws = WaveState {
         pending: Vec::new(),
+        keys: Vec::new(),
+        fills: Vec::new(),
         next: 0,
         dests: 0,
         entries: 0,
@@ -632,28 +648,35 @@ fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
         let dest = bufs.flat[i].0;
         debug_assert_ne!(dest, me);
         let mut entries = Vec::new();
-        let mut tickets: Vec<Vec<(usize, u64)>> = Vec::new();
-        let mut meta: Vec<(u32, u64)> = Vec::new();
-        let mut deduped = 0u64;
+        let keys0 = ws.keys.len();
+        bufs.waiters.clear();
         while i < bufs.flat.len() && bufs.flat[i].0 == dest {
             let (_, array, idx, _, _) = bufs.flat[i];
-            let mut group = Vec::new();
             while i < bufs.flat.len() {
-                let (d, a, x, vp, slot) = bufs.flat[i];
+                let (d, a, x, vp, ticket) = bufs.flat[i];
                 if d != dest || a != array || x != idx {
                     break;
                 }
-                group.push((vp, slot));
+                bufs.waiters.push((vp, ticket));
                 i += 1;
             }
-            deduped += group.len() as u64 - 1;
             entries.push(msgs::ReqEntry {
                 array,
                 idx,
-                slot: tickets.len() as u64,
+                slot: (ws.keys.len() - keys0) as u64,
             });
-            tickets.push(group);
-            meta.push((array, idx));
+            ws.keys.push((array, idx));
+        }
+        let deduped = (bufs.waiters.len() - entries.len()) as u64;
+        // The response answers every entry at once, so each (VP, ticket)
+        // is filled by the sum of its waiters on this destination.
+        bufs.waiters.sort_unstable();
+        let fills0 = ws.fills.len();
+        for &(vp, ticket) in &bufs.waiters {
+            match ws.fills[fills0..].last_mut() {
+                Some(f) if (f.0, f.1) == (vp, ticket) => f.2 += 1,
+                _ => ws.fills.push((vp, ticket, 1)),
+            }
         }
         let bytes = cfg.bundle_header_bytes + entries.len() * cfg.req_entry_bytes;
         ws.dests += 1;
@@ -681,20 +704,29 @@ fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
             ),
             msgs::K_READ_REQ,
         );
-        ws.pending.push((dest, tickets, meta));
+        ws.pending.push(DestPending {
+            dest,
+            keys: keys0..ws.keys.len(),
+            fills: fills0..ws.fills.len(),
+        });
     }
     debug_assert!(!ws.pending.is_empty(), "wave started with no requests");
     ws
 }
 
 /// Block for the wave's next destination (ascending order; peers are
-/// serviced and unrelated messages stashed meanwhile), fill the answered
-/// slots — populating the read cache when enabled — and return the VPs
-/// whose reads were satisfied.
-fn wave_recv_next(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], ws: &mut WaveState) -> Vec<usize> {
-    let cache_on = nc.config().read_cache;
-    let (dest, tickets, meta) = &mut ws.pending[ws.next];
-    let dest = *dest;
+/// serviced and unrelated messages stashed meanwhile), land its values in
+/// the arrays' stores once, fill the waiting VPs' tickets, and append each
+/// VP with a filled ticket to `woken` once. Returns the number of waiters
+/// filled (the `partial_wake` trace argument).
+fn wave_recv_next(
+    nc: &mut NodeCtx<'_>,
+    cells: &[Arc<VpCell>],
+    ws: &mut WaveState,
+    woken: &mut Vec<usize>,
+) -> u64 {
+    let d = &ws.pending[ws.next];
+    let dest = d.dest;
     let msg = nc.pump_recv(|m| msgs::untag(m.tag).0 == msgs::K_READ_RESP && m.src == dest);
     let bytes = msg.bytes as u64;
     let resp: RespBundle = msg.take();
@@ -703,38 +735,33 @@ fn wave_recv_next(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], ws: &mut WaveStat
     inner.traffic.resp_bytes_in += bytes;
     inner.counters.msgs_recv += 1;
     inner.counters.bytes_recv += bytes;
-    let mut woken: Vec<usize> = Vec::new();
-    let mut filled = 0usize;
+    let keys = &ws.keys[d.keys.clone()];
     let mut idxs: Vec<u64> = Vec::new();
     for part in resp.parts {
-        // The echoed "slots" are our tickets; expand each back to the
-        // (vp, slot) waiters parked on that element.
-        let groups: Vec<Vec<(usize, u64)>> = part
-            .slots
-            .iter()
-            .map(|&t| std::mem::take(&mut tickets[t as usize]))
-            .collect();
+        // The echoed "slots" are our wire tickets: offsets into this
+        // destination's keys.
         idxs.clear();
         idxs.extend(part.slots.iter().map(|&t| {
-            debug_assert_eq!(meta[t as usize].0, part.array, "ticket/part array mismatch");
-            meta[t as usize].1
+            let (array, idx) = keys[t as usize];
+            debug_assert_eq!(array, part.array, "ticket/part array mismatch");
+            idx
         }));
-        inner.garrays[part.array as usize].fulfill_multi(
-            part.values,
-            &idxs,
-            &groups,
-            cache_on,
-            &mut |vp, slot, value| {
-                cells[vp].scratch().slots.fill(slot, value);
-                woken.push(vp);
-                filled += 1;
-            },
-        );
+        inner.garrays[part.array as usize].fulfill_multi(part.values, &idxs);
     }
-    inner.outstanding_reads -= filled;
+    let mut filled = 0u64;
+    for f in ws.fills[d.fills.clone()].chunk_by(|a, b| a.0 == b.0) {
+        let vp = f[0].0;
+        let mut s = cells[vp].scratch();
+        for &(_, ticket, n) in f {
+            s.tickets.fill(ticket, n);
+            filled += n as u64;
+        }
+        woken.push(vp);
+    }
+    inner.outstanding_reads -= filled as usize;
     ws.bytes_in += bytes;
     ws.next += 1;
-    woken
+    filled
 }
 
 /// Account a completed wave: counters, the pipelining latency-hiding
@@ -1227,6 +1254,13 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
 
     {
         let mut inner = nc.inner.borrow_mut();
+        // With the cache off the store is only this phase's landing
+        // buffer: every ticket completed before the phase could end.
+        if !cfg.read_cache {
+            for ga in inner.garrays.iter_mut() {
+                ga.cache_clear();
+            }
+        }
         inner.phase.open = None;
         inner.phase.entered = 0;
         inner.phase.arrived = 0;

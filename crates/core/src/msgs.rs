@@ -70,8 +70,9 @@ pub(crate) fn barrier_meta(phase: u64, round: u32) -> u64 {
 }
 
 /// One entry of an outgoing read-request bundle. `slot` is a
-/// requester-side ticket: the responder echoes it back, and the requester
-/// fans the value out to every VP waiting on that (array, index).
+/// requester-side wire ticket: the responder echoes it back, and the
+/// requester maps it to the (array, index) whose value it lands once in
+/// its store for every VP waiting on it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReqEntry {
     pub array: u32,

@@ -186,8 +186,8 @@ fn fold_wire<T: Elem>(w: WireWrite<T>) -> T {
 }
 
 /// A read request queued in [`Inner`] for the next communication wave:
-/// VP `vp` wants element `idx` of global array `array`, and will receive
-/// it in its private slot `slot`. (The wire format is
+/// VP `vp` wants element `idx` of global array `array`, counted against
+/// its read ticket `ticket`. (The wire format is
 /// [`crate::msgs::ReqEntry`]; requests are deduplicated per
 /// (destination, array, index) when the wave is built.)
 #[derive(Debug, Clone, Copy)]
@@ -195,7 +195,7 @@ pub(crate) struct QueuedReq {
     pub array: u32,
     pub idx: u64,
     pub vp: usize,
-    pub slot: u64,
+    pub ticket: u32,
 }
 
 /// How the current `ppm_do` participates in the cluster.
@@ -220,61 +220,66 @@ pub enum PhaseKind {
 }
 
 // ---------------------------------------------------------------------------
-// Per-VP slot table: parking spots for one VP's suspended remote reads.
+// Per-VP read tickets: one counted ticket per suspended read future.
 // ---------------------------------------------------------------------------
 
-enum Slot {
-    Waiting,
-    Filled { value: Box<dyn Any + Send> },
-}
-
-/// Parking table for one VP's suspended remote reads. Lives in the VP's
-/// [`VpScratch`]; the executor fills slots when a wave's responses arrive
-/// and then wakes the owning VP.
+/// One VP's read tickets. A `get`/`get_many` future takes one ticket on
+/// its first remote miss and adds one per remote element it issues; each
+/// wave fill subtracts the elements it landed in the array's store
+/// ([`GArray::landed`]). A ticket at zero is complete: its future reads
+/// every remote element from the store in one pass and frees the ticket.
+/// Lives in the VP's [`VpScratch`].
 #[derive(Default)]
-pub(crate) struct VpSlots {
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
+pub(crate) struct VpTickets {
+    /// Outstanding elements per ticket; `None` = free.
+    counts: Vec<Option<u32>>,
+    free: Vec<u32>,
 }
 
-impl VpSlots {
-    pub fn alloc(&mut self) -> u64 {
+impl VpTickets {
+    /// A fresh ticket with no elements.
+    pub fn alloc(&mut self) -> u32 {
         match self.free.pop() {
-            Some(i) => {
-                debug_assert!(self.slots[i].is_none());
-                self.slots[i] = Some(Slot::Waiting);
-                i as u64
+            Some(t) => {
+                debug_assert!(self.counts[t as usize].is_none());
+                self.counts[t as usize] = Some(0);
+                t
             }
             None => {
-                self.slots.push(Some(Slot::Waiting));
-                (self.slots.len() - 1) as u64
+                self.counts.push(Some(0));
+                (self.counts.len() - 1) as u32
             }
         }
     }
 
-    pub fn fill(&mut self, slot: u64, value: Box<dyn Any + Send>) {
-        let s = self.slots[slot as usize]
-            .replace(Slot::Filled { value })
-            .expect("filling a free slot");
-        match s {
-            Slot::Waiting => {}
-            Slot::Filled { .. } => panic!("slot {slot} filled twice"),
-        }
+    /// Count one more remote element against ticket `t`.
+    pub fn add(&mut self, t: u32) {
+        *self.counts[t as usize]
+            .as_mut()
+            .expect("adding to a free ticket") += 1;
     }
 
-    /// Take the value if the slot has been filled; frees the slot.
-    pub fn try_take(&mut self, slot: u64) -> Option<Box<dyn Any + Send>> {
-        match &self.slots[slot as usize] {
-            Some(Slot::Filled { .. }) => {
-                let s = self.slots[slot as usize].take().expect("checked above");
-                self.free.push(slot as usize);
-                match s {
-                    Slot::Filled { value } => Some(value),
-                    Slot::Waiting => unreachable!(),
-                }
+    /// `n` of ticket `t`'s elements have landed.
+    pub fn fill(&mut self, t: u32, n: u32) {
+        let c = self.counts[t as usize]
+            .as_mut()
+            .expect("filling a free ticket");
+        *c = c
+            .checked_sub(n)
+            .unwrap_or_else(|| panic!("ticket {t} over-filled"));
+    }
+
+    /// Whether every element of ticket `t` has landed; a complete ticket
+    /// is freed, so its future must read the store right away.
+    pub fn try_complete(&mut self, t: u32) -> bool {
+        match self.counts[t as usize] {
+            Some(0) => {
+                self.counts[t as usize] = None;
+                self.free.push(t);
+                true
             }
-            Some(Slot::Waiting) => None,
-            None => panic!("polling a freed slot"),
+            Some(_) => false,
+            None => panic!("polling a freed ticket ({t})"),
         }
     }
 }
@@ -376,7 +381,7 @@ pub(crate) struct ScratchReq {
     pub dest: usize,
     pub array: u32,
     pub idx: u64,
-    pub slot: u64,
+    pub ticket: u32,
 }
 
 /// Every side effect one VP produces while being polled. Private to the VP
@@ -394,11 +399,11 @@ pub(crate) struct VpScratch {
     pub pending_enter: Option<PhaseKind>,
     /// Barrier arrival not yet replayed into `Inner`.
     pub pending_arrive: bool,
-    /// Parking table for this VP's suspended remote reads.
-    pub slots: VpSlots,
-    /// Slots allocated since the last merge (feeds
+    /// Counted tickets of this VP's suspended read futures.
+    pub tickets: VpTickets,
+    /// Remote elements issued since the last merge (feeds
     /// `Inner::outstanding_reads`).
-    pub slots_alloced: usize,
+    pub reads_issued: usize,
     /// Read requests to queue for the next wave.
     pub reqs: Vec<ScratchReq>,
     /// Cold-tile faults (`(array, tile)`) recorded by local reads under a
@@ -497,10 +502,37 @@ impl VpCell {
             .unwrap_or_else(|| panic!("{what} requires an open phase"))
     }
 
-    /// VP read of a global shared element.
-    pub fn get_global<T: Elem>(&self, inner: &Inner, id: u32, idx: usize) -> GetOutcome<T> {
+    /// VP reads of global shared elements `idxs`, issued under one scratch
+    /// lock and one array downcast; `out` receives each index's outcome in
+    /// order. Every remote element counts against `ticket`, which is
+    /// allocated on the first remote miss.
+    pub fn get_globals<T: Elem>(
+        &self,
+        inner: &Inner,
+        id: u32,
+        idxs: &[usize],
+        ticket: &mut Option<u32>,
+        mut out: impl FnMut(usize, GetOutcome<T>),
+    ) {
         let mut s = self.scratch();
-        let kind = Self::in_phase(&s, "global shared read");
+        let ga = garray_ref::<T>(inner, id);
+        for &idx in idxs {
+            out(idx, self.issue_get(&mut s, inner, ga, id, idx, ticket));
+        }
+    }
+
+    /// One global read, fully charged whatever its outcome: sv_overhead,
+    /// checker event, then a local, cache-hit, or remote (ticketed) access.
+    fn issue_get<T: Elem>(
+        &self,
+        s: &mut VpScratch,
+        inner: &Inner,
+        ga: &GArray<T>,
+        id: u32,
+        idx: usize,
+        ticket: &mut Option<u32>,
+    ) -> GetOutcome<T> {
+        let kind = Self::in_phase(s, "global shared read");
         s.compute += self.cfg.sv_overhead;
         if self.checker_on {
             s.checks.push(CheckEvent::Get {
@@ -510,7 +542,6 @@ impl VpCell {
                 kind,
             });
         }
-        let ga = garray_ref::<T>(inner, id);
         assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
         let owner = ga.dist.owner(idx);
         if owner == self.node {
@@ -536,7 +567,8 @@ impl VpCell {
             // (response bundle or owner push) is this phase's frozen truth,
             // so it can be returned without wire traffic. The checker event
             // and sv_overhead above are recorded either way — the cache
-            // must never mask a conformance violation.
+            // must never mask a conformance violation. With the cache off
+            // the store is only a landing buffer and is never consulted.
             if self.cfg.read_cache {
                 if let Some(v) = ga.cache_get(idx as u64) {
                     s.counters.cache_hits += 1;
@@ -544,21 +576,22 @@ impl VpCell {
                 }
             }
             s.counters.cache_misses += 1;
-            let slot = s.slots.alloc();
-            s.slots_alloced += 1;
+            let t = *ticket.get_or_insert_with(|| s.tickets.alloc());
+            s.tickets.add(t);
+            s.reads_issued += 1;
             s.reqs.push(ScratchReq {
                 dest: owner,
                 array: id,
                 idx: idx as u64,
-                slot,
+                ticket: t,
             });
             s.counters.remote_gets += 1;
-            GetOutcome::Remote(slot)
+            GetOutcome::Remote
         }
     }
 
     /// Charge-free re-read of a local element whose first access returned
-    /// [`GetOutcome::LocalPending`]. The original [`Self::get_global`]
+    /// [`GetOutcome::LocalPending`]. The original [`Self::get_globals`]
     /// already paid the full in-core cost (overhead, counters, checker
     /// event), so this resolution path must stay invisible to every
     /// observable: it touches no counters, no compute, no checker. If the
@@ -782,7 +815,7 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
             array: r.array,
             idx: r.idx,
             vp: cell.id,
-            slot: r.slot,
+            ticket: r.ticket,
         });
     }
     if !s.tile_faults.is_empty() {
@@ -793,7 +826,7 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
     inner.counters = inner.counters.merge(&c);
     let compute = std::mem::replace(&mut s.compute, SimTime::ZERO);
     inner.core_compute[cell.core()] += compute;
-    inner.outstanding_reads += std::mem::take(&mut s.slots_alloced);
+    inner.outstanding_reads += std::mem::take(&mut s.reads_issued);
     if std::mem::take(&mut s.pending_arrive) {
         inner.phase.arrived += 1;
         inner.barrier_waiters.push(cell.id);
@@ -888,13 +921,19 @@ pub(crate) struct GArray<T: Elem> {
     /// resolved, and drained at the phase boundary — no per-element map in
     /// the per-write hot path.
     wlog: Vec<(usize, WEntry<T>)>,
-    /// Remote elements whose phase-frozen value this node has learned —
-    /// from response bundles or owner-pushed refreshes — as a flat
-    /// `(global index, value)` vec sorted by index (binary-search lookup,
-    /// no hashing). Consulted by [`VpCell::get_global`] before queueing a
-    /// remote read; cleared when the array takes writes (exec.rs
-    /// invalidation).
+    /// The store: remote elements whose phase-frozen value this node has
+    /// learned — from response bundles or owner-pushed refreshes — as a
+    /// flat `(global index, value)` vec sorted by index (binary-search
+    /// lookup, no hashing). Every response value lands here exactly once
+    /// per node, however many VPs wait on it; their futures read it back
+    /// once their ticket completes ([`Self::landed`]). With the read cache
+    /// on, [`VpCell::get_globals`] also consults it before queueing a
+    /// remote read, and it is cleared when the array takes writes (exec.rs
+    /// invalidation); with the cache off it is only a landing buffer,
+    /// cleared at every global phase end. Both clear at construct entry.
     rcache: Vec<(u64, T)>,
+    /// Reused merge buffer for [`Self::store_merge`] (keeps its capacity).
+    merge_buf: Vec<(u64, T)>,
 }
 
 impl<T: Elem> GArray<T> {
@@ -905,6 +944,7 @@ impl<T: Elem> GArray<T> {
             local,
             wlog: Vec::new(),
             rcache: Vec::new(),
+            merge_buf: Vec::new(),
         }
     }
 
@@ -916,12 +956,48 @@ impl<T: Elem> GArray<T> {
             .map(|p| self.rcache[p].1)
     }
 
-    /// Learn (or refresh) the phase-frozen value of remote element `idx`.
-    fn cache_put(&mut self, idx: u64, v: T) {
-        match self.rcache.binary_search_by_key(&idx, |e| e.0) {
-            Ok(p) => self.rcache[p].1 = v,
-            Err(p) => self.rcache.insert(p, (idx, v)),
+    /// Value of remote element `idx` for a completed read ticket. A
+    /// ticket completes inside the phase that issued it, and the store is
+    /// only cleared at phase and construct boundaries, so the value is
+    /// always there for a future polled within its phase.
+    pub fn landed(&self, idx: u64) -> T {
+        self.cache_get(idx)
+            .unwrap_or_else(|| panic!("remote element {idx} read after its phase ended"))
+    }
+
+    /// Learn (or refresh) the phase-frozen values of remote elements, as
+    /// `(global index, value)` pairs in strictly ascending index order,
+    /// with one merge pass: entries below the first new index stay in
+    /// place, the tail merges through [`Self::merge_buf`], and an index
+    /// already in the store takes the new value. O(tail + new), where a
+    /// `Vec::insert` per element would shift the tail once per element
+    /// (cyclic layouts and earlier-phase entries land below the tail).
+    fn store_merge(&mut self, new: impl IntoIterator<Item = (u64, T)>) {
+        let mut new = new.into_iter().peekable();
+        let Some(&(first, _)) = new.peek() else {
+            return;
+        };
+        let p = self.rcache.partition_point(|e| e.0 < first);
+        let mut tail = std::mem::take(&mut self.merge_buf);
+        tail.clear();
+        tail.extend(self.rcache.drain(p..));
+        let mut old = tail.iter().copied().peekable();
+        let mut prev: Option<u64> = None;
+        for (idx, v) in new {
+            debug_assert!(
+                prev.is_none_or(|q| q < idx),
+                "store merge input not strictly ascending"
+            );
+            prev = Some(idx);
+            while let Some(e) = old.next_if(|e| e.0 <= idx) {
+                if e.0 < idx {
+                    self.rcache.push(e);
+                }
+            }
+            self.rcache.push((idx, v));
         }
+        self.rcache.extend(old);
+        self.merge_buf = tail;
     }
 
     pub fn buffer_assign(&mut self, idx: usize, val: T, key: WriteKey) {
@@ -963,20 +1039,12 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// Read the values at `idxs` (global indices owned by this node);
     /// returns the payload (`Vec<T>`) and its modeled byte size.
     fn serve(&self, idxs: &[u64]) -> (Box<dyn Any + Send>, usize);
-    /// Requester side: value `i` of the response fans out to every
-    /// `(vp, slot)` waiter in `groups[i]` (request deduplication lets many
-    /// VPs share one wire entry for the same remote element); `idxs[i]` is
-    /// the element's global index. With `cache` on, each value also
-    /// populates the read cache. `fill` delivers one boxed value to one
-    /// waiter's slot.
-    fn fulfill_multi(
-        &mut self,
-        values: Box<dyn Any + Send>,
-        idxs: &[u64],
-        groups: &[Vec<(usize, u64)>],
-        cache: bool,
-        fill: &mut dyn FnMut(usize, u64, Box<dyn Any + Send>),
-    );
+    /// Requester side: land one response part (`Vec<T>`) in the store —
+    /// value `i` is global element `idxs[i]`, ascending — once per node,
+    /// however many VPs wait on it (request deduplication lets many VPs
+    /// share one wire entry). The waiters' tickets are filled by the
+    /// caller.
+    fn fulfill_multi(&mut self, values: Box<dyn Any + Send>, idxs: &[u64]);
     /// Drain the write buffer into per-destination parcels (the destination
     /// may be this node itself).
     fn drain_writes(&mut self) -> Vec<WriteParcel>;
@@ -1003,11 +1071,12 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// Copy the `take`-marked subset of a refresh payload (`Vec<T>`);
     /// returns the subset payload and its modeled wire byte size.
     fn refresh_select(&self, values: &dyn Any, take: &[bool]) -> (Box<dyn Any + Send + Sync>, u64);
-    /// Receiver side of an owner push: insert `idxs[i] → values[i]` into
-    /// the read cache for every `take`-marked entry.
+    /// Receiver side of an owner push: merge `idxs[i] → values[i]` into
+    /// the store for every `take`-marked entry (`idxs` ascending).
     fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any, take: &[bool]);
-    /// Drop every cached remote value (invalidation at phase end when the
-    /// array took writes, and at construct entry).
+    /// Drop every stored remote value (invalidation at phase end when the
+    /// array took writes, every global phase end with the cache off, and
+    /// construct entry).
     fn cache_clear(&mut self);
     /// Current distribution of the array (layout + length + nodes).
     fn dist(&self) -> &Dist;
@@ -1059,27 +1128,12 @@ impl<T: Elem> GArrayObj for GArray<T> {
         (Box::new(values), bytes)
     }
 
-    fn fulfill_multi(
-        &mut self,
-        values: Box<dyn Any + Send>,
-        idxs: &[u64],
-        groups: &[Vec<(usize, u64)>],
-        cache: bool,
-        fill: &mut dyn FnMut(usize, u64, Box<dyn Any + Send>),
-    ) {
+    fn fulfill_multi(&mut self, values: Box<dyn Any + Send>, idxs: &[u64]) {
         let values = values
             .downcast::<Vec<T>>()
             .expect("response payload type mismatch");
-        debug_assert_eq!(values.len(), groups.len());
         debug_assert_eq!(values.len(), idxs.len());
-        for ((waiters, &idx), v) in groups.iter().zip(idxs).zip(*values) {
-            if cache {
-                self.cache_put(idx, v);
-            }
-            for &(vp, slot) in waiters {
-                fill(vp, slot, Box::new(v));
-            }
-        }
+        self.store_merge(idxs.iter().copied().zip(*values));
     }
 
     fn drain_writes(&mut self) -> Vec<WriteParcel> {
@@ -1201,16 +1255,14 @@ impl<T: Elem> GArrayObj for GArray<T> {
             .expect("refresh payload type mismatch");
         debug_assert_eq!(values.len(), idxs.len());
         debug_assert_eq!(values.len(), take.len());
-        for ((&idx, &v), &t) in idxs.iter().zip(values).zip(take) {
-            if t {
-                debug_assert_ne!(
-                    self.dist.owner(idx as usize),
-                    usize::MAX,
-                    "unreachable: owner() is total"
-                );
-                self.cache_put(idx, v);
-            }
-        }
+        // Refresh indices ascend: they come from `apply_writes`' `written`.
+        self.store_merge(
+            idxs.iter()
+                .zip(values)
+                .zip(take)
+                .filter(|&(_, &t)| t)
+                .map(|((&idx, &v), _)| (idx, v)),
+        );
     }
 
     fn cache_clear(&mut self) {
@@ -1621,10 +1673,12 @@ pub(crate) struct ServeHist {
 pub(crate) enum GetOutcome<T> {
     /// The element is owned locally; here is its value.
     Local(T),
-    /// The element is remote; the VP parks on this slot.
-    Remote(u64),
+    /// The element is remote and counted against the caller's read
+    /// ticket; the VP parks until the ticket completes, then reads the
+    /// value from the array's store ([`GArray::landed`]).
+    Remote,
     /// The element is owned locally but its partition tile is spilled
-    /// (pseudo-streaming, DESIGN.md §18). The VP parks slot-free; the
+    /// (pseudo-streaming, DESIGN.md §18). The VP parks ticket-free; the
     /// executor refills the tile and wakes it, and the deferred re-read
     /// ([`VpCell::read_local_resident`]) is charge-free — the access was
     /// fully charged here, exactly like the in-core path.
@@ -1876,8 +1930,9 @@ impl TileBudget {
 pub(crate) struct Inner {
     pub garrays: Vec<Box<dyn GArrayObj>>,
     pub narrays: Vec<Box<dyn NArrayObj>>,
-    /// Reads parked in VP slot tables but not yet answered by a wave
-    /// (incremented when scratches merge, decremented per slot fill).
+    /// Remote elements counted against VP read tickets but not yet
+    /// answered by a wave (incremented when scratches merge, decremented
+    /// per filled waiter).
     pub outstanding_reads: usize,
     /// Outgoing read requests queued for the next wave — dense, indexed by
     /// destination node id, so every iteration that feeds the wire walks
@@ -2072,31 +2127,69 @@ mod tests {
     }
 
     #[test]
-    fn vp_slots_lifecycle() {
-        let mut t = VpSlots::default();
-        let s0 = t.alloc();
-        let s1 = t.alloc();
-        assert_ne!(s0, s1);
-        assert!(t.try_take(s0).is_none());
-        t.fill(s0, Box::new(1.5f64));
-        let v = t.try_take(s0).expect("filled");
-        assert_eq!(*v.downcast::<f64>().unwrap(), 1.5);
-        // freed slot is reused
-        let s2 = t.alloc();
-        assert_eq!(s2, s0);
-        t.fill(s1, Box::new(2u64));
-        t.fill(s2, Box::new(3u64));
-        assert_eq!(*t.try_take(s1).unwrap().downcast::<u64>().unwrap(), 2);
-        assert_eq!(*t.try_take(s2).unwrap().downcast::<u64>().unwrap(), 3);
+    fn ticket_is_reused_only_after_its_last_element_lands() {
+        let mut t = VpTickets::default();
+        let a = t.alloc();
+        t.add(a);
+        t.add(a);
+        t.add(a);
+        assert!(!t.try_complete(a), "nothing landed yet");
+        t.fill(a, 2);
+        assert!(!t.try_complete(a), "one element still in flight");
+        let b = t.alloc();
+        assert_ne!(a, b, "an incomplete ticket is never handed out again");
+        t.fill(a, 1);
+        assert!(t.try_complete(a), "last element landed");
+        assert_eq!(t.alloc(), a, "a completed ticket is reused");
+        // A ticket with no remote elements is complete at once.
+        assert!(t.try_complete(b));
     }
 
     #[test]
-    #[should_panic(expected = "filled twice")]
-    fn double_fill_panics() {
-        let mut t = VpSlots::default();
-        let s = t.alloc();
-        t.fill(s, Box::new(1u8));
-        t.fill(s, Box::new(2u8));
+    #[should_panic(expected = "over-filled")]
+    fn over_filling_a_ticket_panics() {
+        let mut t = VpTickets::default();
+        let a = t.alloc();
+        t.add(a);
+        t.fill(a, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "polling a freed ticket")]
+    fn polling_a_freed_ticket_panics() {
+        let mut t = VpTickets::default();
+        let a = t.alloc();
+        assert!(t.try_complete(a));
+        t.try_complete(a);
+    }
+
+    /// Under a cyclic layout a node's remote indices interleave, so later
+    /// response parts land below entries already stored; each part must
+    /// merge in one pass and leave the store sorted, with a re-landed index
+    /// taking its new value.
+    #[test]
+    fn store_merge_keeps_cyclic_store_sorted() {
+        // 24 elements cyclic over 3 nodes; node 0 owns 0, 3, 6, ...
+        let mut ga: GArray<u64> = GArray::new(Dist::cyclic(24, 3), 0);
+        let land = |ga: &mut GArray<u64>, idxs: &[u64]| {
+            let vals: Vec<u64> = idxs.iter().map(|i| 100 + i).collect();
+            ga.fulfill_multi(Box::new(vals), idxs);
+        };
+        land(&mut ga, &[13, 16, 22]); // from node 1, past everything
+        land(&mut ga, &[2, 5, 14, 23]); // from node 2, interleaved
+        land(&mut ga, &[1, 4, 16, 19]); // node 1 again, one repeat
+        let refresh: Vec<u64> = vec![7, 14, 20];
+        ga.refresh_absorb(&[7, 14, 20], &refresh, &[true, true, false]);
+        let expect: Vec<(u64, u64)> = [1, 2, 4, 5, 13, 16, 19, 22, 23]
+            .iter()
+            .map(|&i| (i, 100 + i))
+            .chain([(7, 7), (14, 14)])
+            .collect::<BTreeMap<_, _>>()
+            .into_iter()
+            .collect();
+        assert_eq!(ga.rcache, expect);
+        assert_eq!(ga.landed(14), 14, "refresh overwrote the landed value");
+        assert_eq!(ga.cache_get(20), None, "untaken refresh entry skipped");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::task::{Context, Poll};
 
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{DoMode, GetOutcome, PhaseKind, SharedInner, VpCell};
+use crate::state::{garray_ref, DoMode, GetOutcome, PhaseKind, SharedInner, VpCell};
 
 /// Handle given to each virtual processor started by `ppm_do`.
 ///
@@ -246,7 +246,8 @@ impl Phase {
             array: g.id,
             idxs: Some(idxs.into_iter().collect()),
             state: Vec::new(),
-            remaining: 0,
+            ticket: None,
+            deferred: 0,
         }
     }
 
@@ -298,8 +299,9 @@ enum GetFutState {
     /// the first poll; re-read charge-free once the executor refills the
     /// tile (DESIGN.md §18).
     Deferred,
-    /// Remote element parked on a wave slot.
-    Slot(u64),
+    /// Remote element counted against this read ticket; read from the
+    /// array's store once the ticket completes.
+    Remote(u32),
 }
 
 /// Future returned by [`Phase::get`].
@@ -319,17 +321,24 @@ impl<T: Elem> Future for GetFut<T> {
         let this = &mut *self;
         match this.state {
             GetFutState::Start => {
-                let outcome = this
-                    .cell
-                    .get_global::<T>(&this.inner.borrow(), this.array, this.idx);
-                match outcome {
+                let mut ticket = None;
+                let mut outcome = None;
+                this.cell.get_globals::<T>(
+                    &this.inner.borrow(),
+                    this.array,
+                    &[this.idx],
+                    &mut ticket,
+                    |_, o| outcome = Some(o),
+                );
+                match outcome.expect("one index, one outcome") {
                     GetOutcome::Local(v) => Poll::Ready(v),
                     GetOutcome::LocalPending => {
                         this.state = GetFutState::Deferred;
                         Poll::Pending
                     }
-                    GetOutcome::Remote(slot) => {
-                        this.state = GetFutState::Slot(slot);
+                    GetOutcome::Remote => {
+                        this.state =
+                            GetFutState::Remote(ticket.expect("remote read without a ticket"));
                         Poll::Pending
                     }
                 }
@@ -343,20 +352,23 @@ impl<T: Elem> Future for GetFut<T> {
                     None => Poll::Pending,
                 }
             }
-            GetFutState::Slot(slot) => match this.cell.scratch().slots.try_take(slot) {
-                Some(boxed) => {
-                    let v = boxed.downcast::<T>().expect("slot value type mismatch");
-                    Poll::Ready(*v)
+            GetFutState::Remote(ticket) => {
+                if this.cell.scratch().tickets.try_complete(ticket) {
+                    let inner = this.inner.borrow();
+                    Poll::Ready(garray_ref::<T>(&inner, this.array).landed(this.idx as u64))
+                } else {
+                    Poll::Pending
                 }
-                None => Poll::Pending,
-            },
+            }
         }
     }
 }
 
 enum ManySlot<T> {
     Ready(T),
-    Waiting(u64),
+    /// Remote element (at this global index), read from the store once
+    /// the future's ticket completes.
+    Waiting(usize),
     /// Local element (at this global index) in a spilled tile, awaiting a
     /// charge-free re-read after the executor refills it.
     Deferred(usize),
@@ -369,7 +381,11 @@ pub struct GetManyFut<T: Elem> {
     array: u32,
     idxs: Option<Vec<usize>>,
     state: Vec<ManySlot<T>>,
-    remaining: usize,
+    /// The one read ticket counting every remote element, until it
+    /// completes.
+    ticket: Option<u32>,
+    /// Elements still [`ManySlot::Deferred`].
+    deferred: usize,
 }
 
 // Sound: the future holds no self-references (plain owned fields); `T` is
@@ -382,66 +398,63 @@ impl<T: Elem> Future for GetManyFut<T> {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Vec<T>> {
         let this = &mut *self;
         if let Some(idxs) = this.idxs.take() {
-            // First poll: issue every access under one `Inner` read lock;
-            // remote ones queue for the next wave together. Cold-tile
-            // locals defer but are charged here, so wave content and
-            // counters match the in-core schedule exactly.
+            // First poll: issue every access under one `Inner` read lock,
+            // one scratch lock and one array downcast; remote ones queue
+            // for the next wave together on one ticket. Cold-tile locals
+            // defer but are charged here, so wave content and counters
+            // match the in-core schedule exactly.
             let inner = this.inner.borrow();
-            this.state = idxs
-                .into_iter()
-                .map(
-                    |idx| match this.cell.get_global::<T>(&inner, this.array, idx) {
+            let (state, deferred) = (&mut this.state, &mut this.deferred);
+            state.reserve_exact(idxs.len());
+            this.cell
+                .get_globals::<T>(&inner, this.array, &idxs, &mut this.ticket, |idx, o| {
+                    state.push(match o {
                         GetOutcome::Local(v) => ManySlot::Ready(v),
                         GetOutcome::LocalPending => {
-                            this.remaining += 1;
+                            *deferred += 1;
                             ManySlot::Deferred(idx)
                         }
-                        GetOutcome::Remote(slot) => {
-                            this.remaining += 1;
-                            ManySlot::Waiting(slot)
-                        }
-                    },
-                )
-                .collect();
+                        GetOutcome::Remote => ManySlot::Waiting(idx),
+                    })
+                });
         } else {
-            // Wave-filled slots first (scratch lock), then deferred local
-            // re-reads (inner read lock; re-records faults through the
-            // scratch lock) — the two locks are never held together.
-            {
-                let mut s = this.cell.scratch();
-                for st in this.state.iter_mut() {
-                    if let ManySlot::Waiting(slot) = *st {
-                        if let Some(boxed) = s.slots.try_take(slot) {
-                            let v = boxed.downcast::<T>().expect("slot value type mismatch");
-                            *st = ManySlot::Ready(*v);
-                            this.remaining -= 1;
-                        }
-                    }
-                }
+            // Ticket first (scratch lock, released), then one pass over
+            // the store and the deferred local re-reads under the inner
+            // read lock (re-recording faults takes the scratch lock inside
+            // it, the order every VP access uses).
+            let landed = this
+                .ticket
+                .is_some_and(|t| this.cell.scratch().tickets.try_complete(t));
+            if landed {
+                this.ticket = None;
             }
-            if this
-                .state
-                .iter()
-                .any(|st| matches!(st, ManySlot::Deferred(_)))
-            {
+            if landed || this.deferred > 0 {
                 let inner = this.inner.borrow();
+                let ga = garray_ref::<T>(&inner, this.array);
                 for st in this.state.iter_mut() {
-                    if let ManySlot::Deferred(idx) = *st {
-                        if let Some(v) = this.cell.read_local_resident::<T>(&inner, this.array, idx)
-                        {
-                            *st = ManySlot::Ready(v);
-                            this.remaining -= 1;
+                    match *st {
+                        ManySlot::Waiting(idx) if landed => {
+                            *st = ManySlot::Ready(ga.landed(idx as u64));
                         }
+                        ManySlot::Deferred(idx) => {
+                            if let Some(v) =
+                                this.cell.read_local_resident::<T>(&inner, this.array, idx)
+                            {
+                                *st = ManySlot::Ready(v);
+                                this.deferred -= 1;
+                            }
+                        }
+                        _ => {}
                     }
                 }
             }
         }
-        if this.remaining == 0 {
+        if this.ticket.is_none() && this.deferred == 0 {
             let values = std::mem::take(&mut this.state)
                 .into_iter()
                 .map(|s| match s {
                     ManySlot::Ready(v) => v,
-                    _ => unreachable!("all slots resolved"),
+                    _ => unreachable!("all elements resolved"),
                 })
                 .collect();
             Poll::Ready(values)

@@ -865,3 +865,156 @@ fn cyclic_layout_spreads_ownership() {
         report.results
     );
 }
+
+#[test]
+fn cache_off_landing_store_leaks_nothing_across_waves_or_phases() {
+    // With the read cache off, response values still land once per node
+    // in the array's store, but only as this phase's landing buffer: a
+    // read in a later wave must go back to the wire, and after the owner
+    // rewrites the elements the next phase must see the new values, not
+    // the ones landed a phase earlier.
+    const LEN: usize = 24; // 3 nodes x 8 elements
+    const PHASES: usize = 3;
+    // Phase-start value of element `i` in phase `p`: each node's first
+    // element points into the rest of its block, the others carry data.
+    fn val(p: usize, i: usize) -> u64 {
+        if i.is_multiple_of(8) {
+            (i + 1 + p % 7) as u64
+        } else {
+            (1000 * p + i) as u64
+        }
+    }
+    let report = run(cfg(3, 2).with_read_cache(false), move |node| {
+        let a = node.alloc_global::<u64>(LEN);
+        let r = node.local_range(&a);
+        node.with_local_mut(&a, |s| {
+            for (off, v) in s.iter_mut().enumerate() {
+                *v = val(0, r.start + off);
+            }
+        });
+        node.ppm_do(2, move |vp| async move {
+            let me = vp.node_id();
+            for p in 0..PHASES {
+                let vp2 = vp.clone();
+                vp.global_phase(|ph| async move {
+                    let head = 8 * ((me + 1) % 3);
+                    // Wave 1: the remote pointer (duplicated across VPs).
+                    let ptr = ph.get(&a, head).await as usize;
+                    assert_eq!(ptr as u64, val(p, head));
+                    // Wave 2: the pointee plus the pointer again.
+                    let got = ph.get_many(&a, [ptr, head, ptr]).await;
+                    assert_eq!(got, vec![val(p, ptr), val(p, head), val(p, ptr)]);
+                    assert_eq!(ph.get(&a, ptr).await, val(p, ptr));
+                    // The owner rewrites its whole block for the next phase.
+                    if vp2.node_rank() == 0 {
+                        for i in vp2.local_range(&a) {
+                            ph.put(&a, i, val(p + 1, i));
+                        }
+                    }
+                })
+                .await;
+            }
+        });
+        node.ep_counters()
+    });
+    for c in &report.results {
+        assert_eq!(
+            c.cache_hits, 0,
+            "the store is never consulted with the cache off"
+        );
+        assert_eq!(c.cache_misses, c.remote_gets);
+        assert!(c.remote_gets > 0);
+    }
+}
+
+#[test]
+fn joined_read_futures_each_hold_their_own_ticket() {
+    // One VP polls two `get_many` futures and one `get` together through a
+    // hand-rolled join, twice per phase, over 3 remote destinations, with
+    // duplicates inside each batch and across VPs. Each future's ticket
+    // must complete only when its own elements have landed, whatever the
+    // wake order; the values must equal sequential `get`s.
+    use std::future::{poll_fn, Future};
+    use std::task::Poll;
+    const LEN: usize = 64; // 4 nodes x 16 elements
+    fn val(i: usize) -> u64 {
+        (i * i + 7) as u64
+    }
+    for pipelining in [true, false] {
+        for cache in [true, false] {
+            let shape = cfg(4, 2)
+                .with_wave_pipelining(pipelining)
+                .with_read_cache(cache);
+            let report = run(shape, move |node| {
+                let a = node.alloc_global::<u64>(LEN);
+                let r = node.local_range(&a);
+                node.with_local_mut(&a, |s| {
+                    for (off, v) in s.iter_mut().enumerate() {
+                        *v = val(r.start + off);
+                    }
+                });
+                node.ppm_do(3, move |vp| async move {
+                    let g = vp.global_rank();
+                    vp.global_phase(|ph| async move {
+                        for round in 0..2 {
+                            let i1: Vec<usize> =
+                                (0..12).map(|j| (g * 5 + j * 11 + round) % LEN).collect();
+                            let i2: Vec<usize> =
+                                (0..12).map(|j| (j * 17 + 3 * round) % 24 + 20).collect();
+                            let k = (g * 29 + 40 + round) % LEN;
+                            let mut f1 = Box::pin(ph.get_many(&a, i1.iter().copied()));
+                            let mut f2 = Box::pin(ph.get_many(&a, i2.iter().copied()));
+                            let mut f3 = Box::pin(ph.get(&a, k));
+                            let (mut r1, mut r2, mut r3) = (None, None, None);
+                            poll_fn(|cx| {
+                                if r3.is_none() {
+                                    if let Poll::Ready(v) = f3.as_mut().poll(cx) {
+                                        r3 = Some(v);
+                                    }
+                                }
+                                if r2.is_none() {
+                                    if let Poll::Ready(v) = f2.as_mut().poll(cx) {
+                                        r2 = Some(v);
+                                    }
+                                }
+                                if r1.is_none() {
+                                    if let Poll::Ready(v) = f1.as_mut().poll(cx) {
+                                        r1 = Some(v);
+                                    }
+                                }
+                                if r1.is_some() && r2.is_some() && r3.is_some() {
+                                    Poll::Ready(())
+                                } else {
+                                    Poll::Pending
+                                }
+                            })
+                            .await;
+                            let mut seq1 = Vec::new();
+                            for &i in &i1 {
+                                seq1.push(ph.get(&a, i).await);
+                            }
+                            let mut seq2 = Vec::new();
+                            for &i in &i2 {
+                                seq2.push(ph.get(&a, i).await);
+                            }
+                            assert_eq!(r1.unwrap(), seq1);
+                            assert_eq!(r2.unwrap(), seq2);
+                            assert_eq!(r3.unwrap(), ph.get(&a, k).await);
+                            let expect: Vec<u64> = i1.iter().map(|&i| val(i)).collect();
+                            assert_eq!(seq1, expect);
+                        }
+                    })
+                    .await;
+                });
+                node.ep_counters()
+            });
+            for c in &report.results {
+                assert!(
+                    c.dedup_reads > 0,
+                    "duplicates across VPs share wire entries"
+                );
+                assert!(c.waves > 0);
+            }
+        }
+    }
+}
