@@ -1043,8 +1043,8 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         incoming.push((src, bundle));
     }
 
-    // 4. Apply: group parcels by array, sources in ascending order
-    //    (own writes participate as source `me`).
+    // 4. Apply: group parcels by array (own writes participate as source
+    //    `me`); `apply_writes` merges them by (index, source).
     let mut by_array: ParcelsByArray = BTreeMap::new();
     for (array, payload) in std::mem::take(&mut per_dest[me]) {
         by_array
@@ -1104,8 +1104,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         inner
             .serve_hist
             .retain(|_, h| phase <= h.last_serve + SERVE_TTL);
-        for (array, mut parcels) in by_array {
-            parcels.sort_by_key(|(src, _)| *src);
+        for (array, parcels) in by_array {
             let (n, written) = {
                 // Split borrow: applied writes bump tile recency on
                 // resident tiles (write-through without admission,

@@ -182,7 +182,7 @@ pub(crate) struct WriteBundleMsg {
     pub phase: u64,
     /// Total entries across parts (for traffic accounting).
     pub entries: u64,
-    /// `(array id, Vec<(u64 idx, WireWrite<T>)>)` per touched array.
+    /// `(array id, WritePayload<T>)` per touched array.
     pub parts: Vec<(u32, Box<dyn Any + Send>)>,
 }
 

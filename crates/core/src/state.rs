@@ -19,10 +19,10 @@
 //! * `put` conflicts resolve deterministically by [`WriteKey`] (global VP
 //!   rank, program order) — last writer wins;
 //! * `accumulate` writes ship as rank-keyed raw contributions (one bundle
-//!   *entry* per node per element, carrying that node's contribution list)
-//!   and the owner flat-folds the concatenation in ascending (global VP
-//!   rank, program order) — a *canonical* order independent of where
-//!   partition boundaries fall, so floating-point results are
+//!   *entry* per node per element, whose contributions sit in a range of
+//!   the payload's shared list) and the owner flat-folds them in ascending
+//!   (global VP rank, program order) — a *canonical* order independent of
+//!   where partition boundaries fall, so floating-point results are
 //!   bit-reproducible and **placement-invariant**: any contiguous
 //!   repartitioning (see `balance.rs`) folds the same contributions in the
 //!   same order and produces the same bits. Wire cost still charges one
@@ -30,6 +30,11 @@
 //!   the rank tags ride free like other protocol sidecars;
 //! * mixing `put` and `accumulate` on the same element in the same phase is
 //!   a programming error and panics.
+//!
+//! The write path allocates per phase, never per element: an array's write
+//! log is grouped by index with a stable radix pass ([`WriteLog`]), each
+//! (array, destination) ships one flat [`WritePayload`], and the owner
+//! applies its sources' index-sorted payloads with one k-way merge.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -51,138 +56,253 @@ pub(crate) struct WriteKey {
     pub seq: u64,
 }
 
-/// A buffered write, as shipped in write bundles.
-///
-/// `Accum` carries the monomorphized combiner so the type-erased apply path
-/// can merge values without knowing `T: AccumElem`, plus the raw
-/// `(global VP rank, value)` contribution list sorted by rank: the owner
-/// concatenates the lists from all source nodes and flat-folds in ascending
-/// rank order, which is the canonical fold order of a sequential
-/// ascending-rank schedule. Because the contribution order is keyed by VP
-/// rank — not by which node happened to own the writer — the fold is
-/// invariant under repartitioning. The modeled wire cost of an entry stays
-/// one combined value (see `drain_writes`); the rank tags are free protocol
-/// sidecar, like write keys.
-#[derive(Debug, Clone)]
-pub(crate) enum WireWrite<T> {
-    Assign(T, WriteKey),
-    Accum {
-        op: AccumOp,
-        f: fn(AccumOp, T, T) -> T,
-        /// `(global VP rank, value)` contributions, ascending by rank,
-        /// program order within a rank.
-        parts: Vec<(u64, T)>,
-    },
-}
-
-/// One buffered, not-yet-published write op, as appended to an array's
-/// flat write log. The log is append-only during a phase body (O(1) per
-/// write, no per-element map lookup); grouping, last-writer resolution,
-/// and accumulate folding all happen once, at drain time, over the
-/// stable-sorted log. `Accum` keeps the raw contribution rather than an
-/// eagerly-folded running value: contributions flat-fold in ascending
-/// (rank, program order) when the buffer drains, so the floating-point
-/// result depends only on each VP's program order — never on the
-/// poll-round structure that interleaved the VPs' merges. Wake-on-arrival
-/// pipelining changes that structure (DESIGN.md §13), so this is what
-/// keeps results bit-identical with pipelining on or off.
+/// One buffered, not-yet-published write op, as a VP records it and as an
+/// array's write log holds it. The log is append-only during a phase body
+/// (O(1) per write, no per-element map lookup); grouping, last-writer
+/// resolution, and accumulate ordering happen once, at drain time
+/// ([`WriteLog::resolve`]). `Accum` keeps the raw contribution, tagged with
+/// the contributing VP's global rank, rather than an eagerly-folded
+/// running value: contributions flat-fold in ascending (rank, program
+/// order) when the writes apply, so the floating-point result depends only
+/// on each VP's program order — never on the poll-round structure that
+/// interleaved the VPs' merges. Wake-on-arrival pipelining changes that
+/// structure (DESIGN.md §13), so this is what keeps results bit-identical
+/// with pipelining on or off. `f` is the monomorphized combiner, so the
+/// type-erased paths need no `T: AccumElem` bound.
 #[derive(Clone, Copy)]
 enum WEntry<T> {
     Assign(T, WriteKey),
     Accum {
         op: AccumOp,
         f: fn(AccumOp, T, T) -> T,
-        /// Contributing VP's global rank.
         rank: u64,
         val: T,
     },
 }
 
-/// Resolve one element's log run (all ops for `idx`, in merge-arrival
-/// order: ascending rank, program order within a rank) into its wire
-/// form. Assign runs keep the highest [`WriteKey`]; accumulate runs check
-/// operator agreement and sort contributions into ascending global-rank
-/// order (the stable sort keeps arrival order for equal ranks). The
-/// contributions ship raw, rank-keyed: folding happens once, at the
-/// owner, over the concatenation from all source nodes
-/// (`resolve_conflicts`), so the fold order never depends on which node a
-/// contributing VP lived on. Mixing `put` and `accumulate` on one element
-/// panics here — at the phase boundary, same run, same message as the old
-/// buffer-time check.
-fn resolve_run<T: Elem>(what: &str, idx: usize, run: &[(usize, WEntry<T>)]) -> WireWrite<T> {
-    match run[0].1 {
-        WEntry::Assign(..) => {
-            let mut best: Option<(T, WriteKey)> = None;
-            for &(_, e) in run {
-                match e {
-                    WEntry::Assign(v, k) => {
-                        if best.is_none_or(|(_, bk)| k > bk) {
-                            best = Some((v, k));
-                        }
-                    }
-                    WEntry::Accum { .. } => {
-                        panic!("{what}element {idx}: put and accumulate mixed in one phase")
-                    }
-                }
-            }
-            let (v, k) = best.expect("non-empty run");
-            WireWrite::Assign(v, k)
-        }
-        WEntry::Accum { op, f, .. } => {
-            let mut parts: Vec<(u64, T)> = Vec::with_capacity(run.len());
-            for &(_, e) in run {
-                match e {
+/// One element's resolved write in a [`WritePayload`]. An `Accum` entry's
+/// contributions are the range `parts` of the payload's shared list,
+/// ascending by rank. The modeled wire cost of an entry is one combined
+/// value (see [`WritePayload::wire_bytes`]); the rank tags are free
+/// protocol sidecar, like write keys.
+#[derive(Clone)]
+enum WireWrite<T> {
+    Assign(T, WriteKey),
+    Accum {
+        op: AccumOp,
+        f: fn(AccumOp, T, T) -> T,
+        parts: std::ops::Range<u32>,
+    },
+}
+
+/// The resolved writes of one array for one destination node (or, for a
+/// node-shared array, for the node itself): entries strictly ascending by
+/// global index, plus the `(global VP rank, value)` contributions of all
+/// its accumulate entries in one list.
+#[derive(Default)]
+pub(crate) struct WritePayload<T> {
+    entries: Vec<(u64, WireWrite<T>)>,
+    parts: Vec<(u64, T)>,
+}
+
+impl<T: Elem> WritePayload<T> {
+    /// Resolve one element's log run (all ops for `idx`, in merge-arrival
+    /// order) into an entry. Assign runs keep the highest [`WriteKey`];
+    /// accumulate runs check operator agreement and put their
+    /// contributions in ascending (rank, program order). Arrival order is
+    /// rank-ascending within each poll round, so only a run where a
+    /// lower-rank VP merged in a later round needs its (stable) sort.
+    /// Mixing `put` and `accumulate` on one element panics here, at the
+    /// phase boundary.
+    fn push_run(&mut self, what: &str, idx: usize, run: &[(usize, WEntry<T>)]) {
+        let start = self.parts.len();
+        let mut w = match run[0].1 {
+            WEntry::Assign(v, k) => WireWrite::Assign(v, k),
+            WEntry::Accum { op, f, .. } => WireWrite::Accum { op, f, parts: 0..0 },
+        };
+        for &(_, e) in run {
+            match (&mut w, e) {
+                (WireWrite::Assign(bv, bk), WEntry::Assign(v, k)) if k > *bk => (*bv, *bk) = (v, k),
+                (WireWrite::Assign(..), WEntry::Assign(..)) => {}
+                (
+                    WireWrite::Accum { op, .. },
                     WEntry::Accum {
-                        op: op2, rank, val, ..
-                    } => {
-                        assert_eq!(
-                            op, op2,
-                            "{what}element {idx}: conflicting accumulate operators in one phase"
-                        );
-                        parts.push((rank, val));
-                    }
-                    WEntry::Assign(..) => {
-                        panic!("{what}element {idx}: put and accumulate mixed in one phase")
-                    }
+                        op: o, rank, val, ..
+                    },
+                ) => {
+                    assert_eq!(
+                        *op, o,
+                        "{what}element {idx}: conflicting accumulate operators in one phase"
+                    );
+                    self.parts.push((rank, val));
                 }
+                _ => panic!("{what}element {idx}: put and accumulate mixed in one phase"),
             }
-            parts.sort_by_key(|p| p.0);
-            WireWrite::Accum { op, f, parts }
         }
+        if let WireWrite::Accum { parts, .. } = &mut w {
+            let run = &mut self.parts[start..];
+            if !run.is_sorted_by_key(|p| p.0) {
+                run.sort_by_key(|p| p.0);
+            }
+            let end = u32::try_from(self.parts.len()).expect("write payload exceeds u32 parts");
+            *parts = start as u32..end;
+        }
+        self.entries.push((idx as u64, w));
+    }
+
+    /// Modeled wire bytes: one combined value plus 9 bytes of index/tag per
+    /// entry, so repartitioning changes neither entry counts nor bytes.
+    fn wire_bytes(&self) -> usize {
+        let value = |w: &WireWrite<T>| match w {
+            WireWrite::Assign(v, _) => v.wire_size(),
+            WireWrite::Accum { parts, .. } => self.parts[parts.start as usize].1.wire_size(),
+        };
+        self.entries.iter().map(|(_, w)| 9 + value(w)).sum()
     }
 }
 
-/// Walk a stable-idx-sorted write log and hand each equal-index run to
-/// `emit`. Shared by the global drain and the node-shared apply.
-fn for_each_run<T: Elem>(
-    log: &[(usize, WEntry<T>)],
-    mut emit: impl FnMut(usize, &[(usize, WEntry<T>)]),
-) {
-    let mut i = 0;
-    while i < log.len() {
-        let idx = log[i].0;
-        let mut j = i + 1;
-        while j < log.len() && log[j].0 == idx {
-            j += 1;
+/// An array's flat write log for the current phase, in merge-arrival order
+/// (ascending VP rank within a poll round, program order within a rank),
+/// plus the buffers that group it at the phase boundary. All three keep
+/// their capacity across phases.
+#[derive(Default)]
+struct WriteLog<T> {
+    ops: Vec<(usize, WEntry<T>)>,
+    tmp: Vec<(usize, WEntry<T>)>,
+    counts: Vec<usize>,
+}
+
+impl<T: Elem> WriteLog<T> {
+    /// Stable LSD radix sort of the ops by element index through `tmp`:
+    /// each element's ops keep their merge-arrival order, with no
+    /// comparisons. Digits are as wide as the log allows (8 to 16 bits, so
+    /// the histogram never dwarfs the log), which groups a 16-bit index
+    /// range in one counting pass. An already-grouped log is left alone.
+    fn group_by_index(&mut self) {
+        let n = self.ops.len();
+        if self.ops.is_sorted_by_key(|e| e.0) {
+            return;
         }
-        emit(idx, &log[i..j]);
-        i = j;
+        let bits = usize::BITS - self.ops.iter().fold(0, |m, e| m | e.0).leading_zeros();
+        let passes = bits.div_ceil((usize::BITS - n.leading_zeros()).clamp(8, 16));
+        let width = bits.div_ceil(passes);
+        self.tmp.resize(n, self.ops[0]);
+        for pass in 0..passes {
+            let digit = |e: &(usize, WEntry<T>)| (e.0 >> (pass * width)) & ((1 << width) - 1);
+            self.counts.clear();
+            self.counts.resize(1 << width, 0);
+            for e in &self.ops {
+                self.counts[digit(e)] += 1;
+            }
+            let mut sum = 0;
+            for c in self.counts.iter_mut() {
+                (*c, sum) = (sum, sum + *c);
+            }
+            for e in &self.ops {
+                let d = digit(e);
+                self.tmp[self.counts[d]] = *e;
+                self.counts[d] += 1;
+            }
+            std::mem::swap(&mut self.ops, &mut self.tmp);
+        }
+    }
+
+    /// The one write-resolution routine, shared by the global drain and
+    /// the node-shared apply: group the log by index, resolve each element
+    /// into the payload of its destination `dest(idx) < nodes` (entries
+    /// land ascending by index), and clear the log. Returns one payload per
+    /// destination written, ascending by destination (never keyed by
+    /// hash-iteration order); only those are allocated, so a drain costs no
+    /// per-node memory at large N.
+    fn resolve(
+        &mut self,
+        what: &str,
+        nodes: usize,
+        dest: impl Fn(usize) -> usize,
+    ) -> Vec<(usize, WritePayload<T>)> {
+        if self.ops.is_empty() {
+            return Vec::new();
+        }
+        self.group_by_index();
+        let mut slot = vec![u32::MAX; nodes];
+        let mut out: Vec<(usize, WritePayload<T>)> = Vec::new();
+        for run in self.ops.chunk_by(|a, b| a.0 == b.0) {
+            let d = dest(run[0].0);
+            if slot[d] == u32::MAX {
+                slot[d] = out.len() as u32;
+                out.push((d, WritePayload::default()));
+            }
+            out[slot[d] as usize].1.push_run(what, run[0].0, run);
+        }
+        self.ops.clear();
+        out.sort_unstable_by_key(|p| p.0);
+        out
     }
 }
 
-/// Flat-fold one wire write into its final value (rank order for
-/// accumulates; the parts of a single [`WireWrite::Accum`] are already
-/// sorted). Used where a single source's write resolves alone (node-shared
-/// apply).
-fn fold_wire<T: Elem>(w: WireWrite<T>) -> T {
-    match w {
-        WireWrite::Assign(v, _) => v,
-        WireWrite::Accum { op, f, parts } => {
-            let mut it = parts.into_iter();
-            let (_, first) = it.next().expect("accum entry with no contributions");
-            it.fold(first, |acc, (_, v)| f(op, acc, v))
+/// Apply index-sorted payloads from several sources, `(source node,
+/// payload)`, with a k-way merge by (index, source): `store` receives each
+/// distinct index once, ascending, with its final value. Assigns resolve
+/// by highest [`WriteKey`]. Accumulates fold in the *canonical* order: the
+/// element's contribution ranges from every source are gathered, in
+/// ascending source order, into one reused buffer, which is stable-sorted
+/// by rank only when the gathered ranges interleave, then flat-folded —
+/// exactly the fold a single-node (or sequential) run performs, whatever
+/// the partitioning. Returns the number of entries applied.
+fn fold_payloads<T: Elem>(srcs: &[(usize, WritePayload<T>)], mut store: impl FnMut(u64, T)) -> u64 {
+    use std::cmp::Reverse;
+    let head = |s: usize, i: usize| {
+        let (src, p) = &srcs[s];
+        p.entries.get(i).map(|e| Reverse((e.0, *src, s)))
+    };
+    let mut heap: std::collections::BinaryHeap<_> =
+        (0..srcs.len()).filter_map(|s| head(s, 0)).collect();
+    let mut pos = vec![0usize; srcs.len()];
+    let (mut at, mut buf) = (Vec::new(), Vec::new());
+    let mut applied = 0u64;
+    while let Some(Reverse((idx, _, s))) = heap.pop() {
+        at.clear();
+        at.push(s);
+        while let Some(Reverse((_, _, s))) = heap.peek().filter(|h| h.0 .0 == idx) {
+            at.push(*s);
+            heap.pop();
+        }
+        applied += at.len() as u64;
+        let mut w = srcs[at[0]].1.entries[pos[at[0]]].1.clone();
+        buf.clear();
+        for &s in &at {
+            let (_, p) = &srcs[s];
+            match (&mut w, &p.entries[pos[s]].1) {
+                (WireWrite::Assign(bv, bk), &WireWrite::Assign(v, k)) if k > *bk => {
+                    (*bv, *bk) = (v, k)
+                }
+                (WireWrite::Assign(..), WireWrite::Assign(..)) => {}
+                (WireWrite::Accum { op, .. }, WireWrite::Accum { op: o, parts, .. }) => {
+                    assert_eq!(*op, *o, "element {idx}: conflicting accumulate operators");
+                    buf.extend_from_slice(&p.parts[parts.start as usize..parts.end as usize]);
+                }
+                _ => panic!("element {idx}: put and accumulate mixed across nodes in one phase"),
+            }
+        }
+        let v = match w {
+            WireWrite::Assign(v, _) => v,
+            WireWrite::Accum { op, f, .. } => {
+                if !buf.is_sorted_by_key(|p: &(u64, T)| p.0) {
+                    buf.sort_by_key(|p| p.0);
+                }
+                let ((_, first), rest) = buf
+                    .split_first()
+                    .expect("accum entry with no contributions");
+                rest.iter().fold(*first, |acc, &(_, v)| f(op, acc, v))
+            }
+        };
+        store(idx, v);
+        for &s in &at {
+            pos[s] += 1;
+            heap.extend(head(s, pos[s]));
         }
     }
+    applied
 }
 
 /// A read request queued in [`Inner`] for the next communication wave:
@@ -315,25 +435,17 @@ pub(crate) enum CheckEvent {
     },
 }
 
-/// One buffered write op recorded in a VP's scratch. `Accum` carries the
-/// monomorphized combiner (captured at push time) so replay does not need
-/// a `T: AccumElem` bound.
-enum WOp<T> {
-    Assign(T, WriteKey),
-    Accum(AccumOp, T, fn(AccumOp, T, T) -> T),
-}
-
 /// Type-erased face of one `(space, array)`'s scratch write list, replayed
 /// into the array's phase write buffer at merge time.
 pub(crate) trait ScratchWrites: Send {
     fn as_any(&mut self) -> &mut dyn Any;
     fn is_empty(&self) -> bool;
-    fn replay_global(&mut self, ga: &mut dyn GArrayObj, rank: u64);
-    fn replay_node(&mut self, na: &mut dyn NArrayObj, rank: u64);
+    fn replay_global(&mut self, ga: &mut dyn GArrayObj);
+    fn replay_node(&mut self, na: &mut dyn NArrayObj);
 }
 
 struct WOps<T: Elem> {
-    ops: Vec<(usize, WOp<T>)>,
+    ops: Vec<(usize, WEntry<T>)>,
 }
 
 impl<T: Elem> ScratchWrites for WOps<T> {
@@ -345,32 +457,22 @@ impl<T: Elem> ScratchWrites for WOps<T> {
         self.ops.is_empty()
     }
 
-    fn replay_global(&mut self, ga: &mut dyn GArrayObj, rank: u64) {
+    fn replay_global(&mut self, ga: &mut dyn GArrayObj) {
         let ga = ga
             .as_any()
             .downcast_mut::<GArray<T>>()
             .expect("scratch write buffer type mismatch");
-        // drain() keeps the Vec's capacity: the per-VP lists are reused
+        // append() keeps this list's capacity: the per-VP lists are reused
         // across rounds and phases (bundle-path allocation diet).
-        for (idx, op) in self.ops.drain(..) {
-            match op {
-                WOp::Assign(v, k) => ga.buffer_assign(idx, v, k),
-                WOp::Accum(o, v, f) => ga.buffer_accum_with(idx, o, v, f, rank),
-            }
-        }
+        ga.wlog.ops.append(&mut self.ops);
     }
 
-    fn replay_node(&mut self, na: &mut dyn NArrayObj, rank: u64) {
+    fn replay_node(&mut self, na: &mut dyn NArrayObj) {
         let na = na
             .as_any()
             .downcast_mut::<NArray<T>>()
             .expect("scratch write buffer type mismatch");
-        for (idx, op) in self.ops.drain(..) {
-            match op {
-                WOp::Assign(v, k) => na.buffer_assign(idx, v, k),
-                WOp::Accum(o, v, f) => na.buffer_accum_with(idx, o, v, f, rank),
-            }
-        }
+        na.wlog.ops.append(&mut self.ops);
     }
 }
 
@@ -421,7 +523,7 @@ pub(crate) struct VpScratch {
 }
 
 impl VpScratch {
-    fn writes_for<T: Elem>(&mut self, space: Space, id: u32) -> &mut Vec<(usize, WOp<T>)> {
+    fn writes_for<T: Elem>(&mut self, space: Space, id: u32) -> &mut Vec<(usize, WEntry<T>)> {
         // Linear scan: programs touch a handful of arrays.
         let pos = match self
             .writes
@@ -641,7 +743,7 @@ impl VpCell {
         };
         s.write_seq += 1;
         s.writes_for::<T>(Space::Global, id)
-            .push((idx, WOp::Assign(val, key)));
+            .push((idx, WEntry::Assign(val, key)));
     }
 
     /// VP combining write of a global shared element.
@@ -675,8 +777,10 @@ impl VpCell {
         } else {
             s.counters.remote_puts += 1;
         }
+        let f = T::combine;
+        let rank = self.global_rank;
         s.writes_for::<T>(Space::Global, id)
-            .push((idx, WOp::Accum(op, val, T::combine)));
+            .push((idx, WEntry::Accum { op, f, rank, val }));
     }
 
     /// VP read of a node-shared element (physical shared memory:
@@ -722,7 +826,7 @@ impl VpCell {
         };
         s.write_seq += 1;
         s.writes_for::<T>(Space::Node, id)
-            .push((idx, WOp::Assign(val, key)));
+            .push((idx, WEntry::Assign(val, key)));
     }
 
     /// VP combining write of a node-shared element.
@@ -747,8 +851,10 @@ impl VpCell {
         s.counters.local_accesses += 1;
         let na = narray_ref::<T>(inner, id);
         assert!(idx < na.data.len(), "accumulate index {idx} out of bounds");
+        let f = T::combine;
+        let rank = self.global_rank;
         s.writes_for::<T>(Space::Node, id)
-            .push((idx, WOp::Accum(op, val, T::combine)));
+            .push((idx, WEntry::Accum { op, f, rank, val }));
     }
 
     /// Charge `n` floating-point operations of VP-private computation.
@@ -806,8 +912,8 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
             continue;
         }
         match space {
-            Space::Global => w.replay_global(&mut *inner.garrays[*id as usize], cell.global_rank),
-            Space::Node => w.replay_node(&mut *inner.narrays[*id as usize], cell.global_rank),
+            Space::Global => w.replay_global(&mut *inner.garrays[*id as usize]),
+            Space::Node => w.replay_node(&mut *inner.narrays[*id as usize]),
         }
     }
     for r in s.reqs.drain(..) {
@@ -907,7 +1013,7 @@ pub(crate) struct WriteParcel {
     pub dest: usize,
     pub entries: u64,
     pub bytes: usize,
-    /// `Vec<(u64 global_idx, WireWrite<T>)>`, sorted by index.
+    /// A [`WritePayload<T>`].
     pub payload: Box<dyn Any + Send>,
 }
 
@@ -916,11 +1022,10 @@ pub(crate) struct WriteParcel {
 pub(crate) struct GArray<T: Elem> {
     pub dist: Dist,
     pub local: Vec<T>,
-    /// Flat append-only write log for the current phase, in merge-arrival
-    /// order (ascending VP rank, program order within a rank). Grouped,
-    /// resolved, and drained at the phase boundary — no per-element map in
-    /// the per-write hot path.
-    wlog: Vec<(usize, WEntry<T>)>,
+    /// Flat write log for the current phase. Grouped, resolved, and
+    /// drained at the phase boundary — no per-element map in the
+    /// per-write hot path.
+    wlog: WriteLog<T>,
     /// The store: remote elements whose phase-frozen value this node has
     /// learned — from response bundles or owner-pushed refreshes — as a
     /// flat `(global index, value)` vec sorted by index (binary-search
@@ -942,7 +1047,7 @@ impl<T: Elem> GArray<T> {
         GArray {
             dist,
             local,
-            wlog: Vec::new(),
+            wlog: WriteLog::default(),
             rcache: Vec::new(),
             merge_buf: Vec::new(),
         }
@@ -999,35 +1104,6 @@ impl<T: Elem> GArray<T> {
         self.rcache.extend(old);
         self.merge_buf = tail;
     }
-
-    pub fn buffer_assign(&mut self, idx: usize, val: T, key: WriteKey) {
-        self.wlog.push((idx, WEntry::Assign(val, key)));
-    }
-
-    /// Append a combining write with an explicit combiner, so the
-    /// type-erased scratch-replay path (`T: Elem` only) can buffer
-    /// accumulates recorded during VP polls. `rank` is the contributing
-    /// VP's global rank (see [`WEntry`] for why contributions are
-    /// rank-keyed).
-    pub fn buffer_accum_with(
-        &mut self,
-        idx: usize,
-        op: AccumOp,
-        val: T,
-        f: fn(AccumOp, T, T) -> T,
-        rank: u64,
-    ) {
-        self.wlog.push((idx, WEntry::Accum { op, f, rank, val }));
-    }
-}
-
-#[cfg(test)]
-impl<T: AccumElem> GArray<T> {
-    /// Test convenience: accumulate with the element's own combiner as
-    /// VP rank 0.
-    pub fn buffer_accum(&mut self, idx: usize, op: AccumOp, val: T) {
-        self.buffer_accum_with(idx, op, val, T::combine, 0);
-    }
 }
 
 /// Type-erased face of `GArray<T>` for the exchange path (serving reads,
@@ -1048,10 +1124,10 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// Drain the write buffer into per-destination parcels (the destination
     /// may be this node itself).
     fn drain_writes(&mut self) -> Vec<WriteParcel>;
-    /// Owner side: apply `(source node, payload)` parcels; resolution order
-    /// is deterministic. Returns the number of entries applied and the
-    /// distinct written global indices in ascending order (feeds the
-    /// refresh-push protocol, DESIGN.md §13). `touch` is called with each
+    /// Owner side: apply `(source node, payload)` parcels, given in any
+    /// order (resolution merges them by index, then source). Returns the
+    /// number of entries applied and the distinct written global indices in
+    /// ascending order (feeds the refresh-push protocol, DESIGN.md §13). `touch` is called with each
     /// resolved local offset before the store lands — the executor wires it
     /// to [`TileBudget::touch`] so applied writes bump tile recency
     /// (write-through without admission, DESIGN.md §18).
@@ -1137,51 +1213,15 @@ impl<T: Elem> GArrayObj for GArray<T> {
     }
 
     fn drain_writes(&mut self) -> Vec<WriteParcel> {
-        if self.wlog.is_empty() {
-            return Vec::new();
-        }
-        let mut log = std::mem::take(&mut self.wlog);
-        // Stable sort groups each element's ops while keeping their
-        // merge-arrival order (ascending rank, program order within a
-        // rank) — the canonical order `resolve_run` relies on.
-        log.sort_by_key(|(idx, _)| *idx);
-        // Dense per-destination buckets: emission is ascending by node id
-        // by construction, never keyed by hash-iteration order. Entries
-        // land in each bucket in ascending index order because the log is
-        // sorted by index.
-        let mut by_dest: Vec<Vec<(u64, WireWrite<T>)>> = Vec::new();
-        by_dest.resize_with(self.dist.nodes, Vec::new);
-        for_each_run(&log, |idx, run| {
-            by_dest[self.dist.owner(idx)].push((idx as u64, resolve_run("", idx, run)));
-        });
-        by_dest
+        let dist = &self.dist;
+        self.wlog
+            .resolve("", dist.nodes, |idx| dist.owner(idx))
             .into_iter()
-            .enumerate()
-            .filter(|(_, entries)| !entries.is_empty())
-            .map(|(dest, entries)| {
-                // One combined value per entry: an accumulate entry is
-                // modeled as pre-combined on the wire (its rank-keyed
-                // contribution list is free sidecar), so repartitioning
-                // changes neither entry counts nor bytes.
-                let bytes: usize = entries
-                    .iter()
-                    .map(|(_, w)| {
-                        9 + match w {
-                            WireWrite::Assign(v, _) => v.wire_size(),
-                            WireWrite::Accum { parts, .. } => parts
-                                .first()
-                                .expect("accum entry with no contributions")
-                                .1
-                                .wire_size(),
-                        }
-                    })
-                    .sum();
-                WriteParcel {
-                    dest,
-                    entries: entries.len() as u64,
-                    bytes,
-                    payload: Box::new(entries),
-                }
+            .map(|(dest, p)| WriteParcel {
+                dest,
+                entries: p.entries.len() as u64,
+                bytes: p.wire_bytes(),
+                payload: Box::new(p),
             })
             .collect()
     }
@@ -1191,36 +1231,27 @@ impl<T: Elem> GArrayObj for GArray<T> {
         parcels: Vec<(u32, Box<dyn Any + Send>)>,
         touch: &mut dyn FnMut(usize),
     ) -> (u64, Vec<u64>) {
-        let mut all: Vec<(u64, u32, WireWrite<T>)> = Vec::new();
-        for (src, payload) in parcels {
-            let entries = payload
-                .downcast::<Vec<(u64, WireWrite<T>)>>()
-                .expect("write parcel type mismatch");
-            all.extend(entries.into_iter().map(|(idx, w)| (idx, src, w)));
-        }
-        // Deterministic application order: by element, then by source node.
-        all.sort_by_key(|(idx, src, _)| (*idx, *src));
-        let applied = all.len() as u64;
+        let srcs: Vec<(usize, WritePayload<T>)> = parcels
+            .into_iter()
+            .map(|(src, p)| {
+                (
+                    src as usize,
+                    *p.downcast().expect("write parcel type mismatch"),
+                )
+            })
+            .collect();
         let mut written = Vec::new();
-        let mut i = 0;
-        while i < all.len() {
-            let idx = all[i].0;
-            let mut j = i + 1;
-            while j < all.len() && all[j].0 == idx {
-                j += 1;
-            }
-            let resolved = resolve_conflicts(idx, &mut all[i..j]);
+        let applied = fold_payloads(&srcs, |idx, v| {
             let off = self.dist.local_offset(idx as usize);
             touch(off);
-            self.local[off] = resolved;
+            self.local[off] = v;
             written.push(idx);
-            i = j;
-        }
+        });
         (applied, written)
     }
 
     fn has_pending_writes(&self) -> bool {
-        !self.wlog.is_empty()
+        !self.wlog.ops.is_empty()
     }
 
     fn refresh_collect(&self, idxs: &[u64]) -> Box<dyn Any + Send + Sync> {
@@ -1297,7 +1328,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
         parts: Vec<(usize, Box<dyn Any + Send>)>,
     ) -> u64 {
         debug_assert!(
-            self.wlog.is_empty(),
+            self.wlog.ops.is_empty(),
             "repartitioning with unapplied buffered writes"
         );
         let old_range = self.dist.owned_range(node);
@@ -1354,56 +1385,6 @@ impl<T: Elem> GArrayObj for GArray<T> {
     }
 }
 
-/// Fold one element's writes (already in deterministic order) into a value.
-///
-/// Assigns resolve by highest [`WriteKey`]. Accumulates resolve in the
-/// *canonical* order: the rank-keyed contribution lists of every source are
-/// concatenated, stable-sorted by global VP rank, and flat-folded ascending
-/// — exactly the fold a single-node (or sequential) run performs, whatever
-/// the partitioning. A rank's contributions all come from the one node that
-/// hosted it, already in program order, so the stable sort never has to
-/// break a tie across sources.
-fn resolve_conflicts<T: Elem>(idx: u64, run: &mut [(u64, u32, WireWrite<T>)]) -> T {
-    let (_, _, first) = run.first().expect("non-empty run");
-    match first {
-        WireWrite::Assign(..) => {
-            let mut best: Option<(T, WriteKey)> = None;
-            for (_, _, w) in run.iter() {
-                match w {
-                    WireWrite::Assign(v, k) => {
-                        if best.is_none_or(|(_, bk)| *k > bk) {
-                            best = Some((*v, *k));
-                        }
-                    }
-                    WireWrite::Accum { .. } => {
-                        panic!("element {idx}: put and accumulate mixed across nodes in one phase")
-                    }
-                }
-            }
-            best.expect("non-empty run").0
-        }
-        WireWrite::Accum { op, f, .. } => {
-            let (op, f) = (*op, *f);
-            let mut all: Vec<(u64, T)> = Vec::new();
-            for (_, _, w) in run.iter_mut() {
-                match w {
-                    WireWrite::Accum { op: op2, parts, .. } => {
-                        assert_eq!(op, *op2, "element {idx}: conflicting accumulate operators");
-                        all.append(parts);
-                    }
-                    WireWrite::Assign(..) => {
-                        panic!("element {idx}: put and accumulate mixed across nodes in one phase")
-                    }
-                }
-            }
-            all.sort_by_key(|p| p.0);
-            let mut it = all.into_iter();
-            let (_, acc0) = it.next().expect("accum run with no contributions");
-            it.fold(acc0, |acc, (_, v)| f(op, acc, v))
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Node shared array storage.
 // ---------------------------------------------------------------------------
@@ -1414,41 +1395,16 @@ fn resolve_conflicts<T: Elem>(idx: u64, run: &mut [(u64, u32, WireWrite<T>)]) ->
 /// global phase, whose poll-round structure wave pipelining changes.
 pub(crate) struct NArray<T: Elem> {
     pub data: Vec<T>,
-    /// Flat append-only write log (see [`GArray::wlog`]).
-    wlog: Vec<(usize, WEntry<T>)>,
+    /// Flat write log (see [`GArray::wlog`]).
+    wlog: WriteLog<T>,
 }
 
 impl<T: Elem> NArray<T> {
     pub fn new(len: usize) -> Self {
         NArray {
             data: vec![T::default(); len],
-            wlog: Vec::new(),
+            wlog: WriteLog::default(),
         }
-    }
-
-    pub fn buffer_assign(&mut self, idx: usize, val: T, key: WriteKey) {
-        self.wlog.push((idx, WEntry::Assign(val, key)));
-    }
-
-    /// See [`GArray::buffer_accum_with`].
-    pub fn buffer_accum_with(
-        &mut self,
-        idx: usize,
-        op: AccumOp,
-        val: T,
-        f: fn(AccumOp, T, T) -> T,
-        rank: u64,
-    ) {
-        self.wlog.push((idx, WEntry::Accum { op, f, rank, val }));
-    }
-}
-
-#[cfg(test)]
-impl<T: AccumElem> NArray<T> {
-    /// Test convenience: accumulate with the element's own combiner as
-    /// VP rank 0.
-    pub fn buffer_accum(&mut self, idx: usize, op: AccumOp, val: T) {
-        self.buffer_accum_with(idx, op, val, T::combine, 0);
     }
 }
 
@@ -1477,14 +1433,8 @@ impl<T: Elem> NArrayObj for NArray<T> {
     }
 
     fn apply(&mut self) -> u64 {
-        let mut log = std::mem::take(&mut self.wlog);
-        log.sort_by_key(|(idx, _)| *idx);
-        let mut n = 0u64;
-        for_each_run(&log, |idx, run| {
-            self.data[idx] = fold_wire(resolve_run("node ", idx, run));
-            n += 1;
-        });
-        n
+        let out = self.wlog.resolve("node ", 1, |_| 0);
+        fold_payloads(&out, |idx, v| self.data[idx as usize] = v)
     }
 
     fn snapshot_local(&self) -> (Box<dyn Any + Send + Sync>, u64) {
@@ -2126,6 +2076,18 @@ mod tests {
         WriteKey { vp, seq }
     }
 
+    impl<T: AccumElem> WriteLog<T> {
+        fn assign(&mut self, idx: usize, val: T, key: WriteKey) {
+            self.ops.push((idx, WEntry::Assign(val, key)));
+        }
+
+        /// Accumulate with the element's own combiner as VP `rank`.
+        fn accum(&mut self, idx: usize, op: AccumOp, val: T, rank: u64) {
+            let f = T::combine;
+            self.ops.push((idx, WEntry::Accum { op, f, rank, val }));
+        }
+    }
+
     #[test]
     fn ticket_is_reused_only_after_its_last_element_lands() {
         let mut t = VpTickets::default();
@@ -2195,14 +2157,14 @@ mod tests {
     #[test]
     fn assign_last_writer_wins_locally() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(4, 1), 0);
-        ga.buffer_assign(2, 1.0, key(0, 0));
-        ga.buffer_assign(2, 2.0, key(1, 0));
-        ga.buffer_assign(2, 1.5, key(0, 5)); // lower vp, loses to (1,0)? No: (1,0) > (0,5)
+        ga.wlog.assign(2, 1.0, key(0, 0));
+        ga.wlog.assign(2, 2.0, key(1, 0));
+        ga.wlog.assign(2, 1.5, key(0, 5)); // lower vp, loses to (1,0)? No: (1,0) > (0,5)
         let parcels = ga.drain_writes();
         assert_eq!(parcels.len(), 1);
         let p = parcels.into_iter().next().unwrap();
-        let entries = p.payload.downcast::<Vec<(u64, WireWrite<f64>)>>().unwrap();
-        match entries[0].1 {
+        let p = p.payload.downcast::<WritePayload<f64>>().unwrap();
+        match p.entries[0].1 {
             WireWrite::Assign(v, k) => {
                 assert_eq!(v, 2.0);
                 assert_eq!(k, key(1, 0));
@@ -2214,12 +2176,32 @@ mod tests {
     #[test]
     fn accum_merges_locally() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 2), 0);
-        ga.buffer_accum(3, AccumOp::Add, 5);
-        ga.buffer_accum(3, AccumOp::Add, 7);
+        ga.wlog.accum(3, AccumOp::Add, 5, 0);
+        ga.wlog.accum(3, AccumOp::Add, 7, 0);
         let parcels = ga.drain_writes();
         assert_eq!(parcels.len(), 1);
         assert_eq!(parcels[0].dest, 1); // idx 3 lives on node 1 of 2
         assert_eq!(parcels[0].entries, 1); // merged
+    }
+
+    /// A lower-rank VP's accumulate can merge in a later poll round than
+    /// a higher rank's, so the log holds ranks out of order. Drain must
+    /// put them back in rank order: rank order folds (1e16 + -1e16) + 1.0,
+    /// arrival order would fold (1.0 + 1e16) + -1e16 = 0.0.
+    #[test]
+    fn drain_folds_out_of_order_ranks_canonically() {
+        let mut ga: GArray<f64> = GArray::new(Dist::block(3, 1), 0);
+        for (rank, v) in [(2, 1.0), (0, 1e16), (1, -1e16)] {
+            ga.wlog.accum(1, AccumOp::Add, v, rank);
+        }
+        let mut parcels = ga.drain_writes();
+        assert_eq!((parcels.len(), parcels[0].entries), (1, 1));
+        let p = parcels.pop().unwrap().payload;
+        let p = p.downcast::<WritePayload<f64>>().unwrap();
+        let ranks: Vec<u64> = p.parts.iter().map(|q| q.0).collect();
+        assert_eq!(ranks, [0, 1, 2], "drain ships contributions in rank order");
+        assert_eq!(ga.apply_writes(vec![(0, p)], &mut |_| {}), (1, vec![1]));
+        assert_eq!(ga.local[1], 1.0);
     }
 
     /// Mixed put/accumulate on one element is detected when the log
@@ -2228,8 +2210,8 @@ mod tests {
     #[should_panic(expected = "put and accumulate mixed")]
     fn mixed_write_kinds_panic() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 1), 0);
-        ga.buffer_assign(0, 1, key(0, 0));
-        ga.buffer_accum(0, AccumOp::Add, 1);
+        ga.wlog.assign(0, 1, key(0, 0));
+        ga.wlog.accum(0, AccumOp::Add, 1, 0);
         ga.drain_writes();
     }
 
@@ -2237,8 +2219,8 @@ mod tests {
     #[should_panic(expected = "node element 0: put and accumulate mixed")]
     fn node_mixed_write_kinds_panic() {
         let mut na: NArray<u64> = NArray::new(2);
-        na.buffer_accum(0, AccumOp::Add, 1);
-        na.buffer_assign(0, 1, key(0, 0));
+        na.wlog.accum(0, AccumOp::Add, 1, 0);
+        na.wlog.assign(0, 1, key(0, 0));
         na.apply();
     }
 
@@ -2246,33 +2228,50 @@ mod tests {
     #[should_panic(expected = "conflicting accumulate operators")]
     fn conflicting_accum_ops_panic() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 1), 0);
-        ga.buffer_accum(1, AccumOp::Add, 1);
-        ga.buffer_accum(1, AccumOp::Max, 2);
+        ga.wlog.accum(1, AccumOp::Add, 1, 0);
+        ga.wlog.accum(1, AccumOp::Max, 2, 0);
         ga.drain_writes();
     }
 
-    fn accum_parts(parts: &[(u64, f64)]) -> WireWrite<f64> {
-        WireWrite::Accum {
-            op: AccumOp::Add,
-            f: f64::combine,
-            parts: parts.to_vec(),
+    /// A test-built write: a put, or an `Add` accumulate with its
+    /// `(rank, value)` contributions.
+    enum TestWrite {
+        Put(f64, WriteKey),
+        Add(&'static [(u64, f64)]),
+    }
+
+    /// A flat write payload holding `writes` (ascending indices).
+    fn payload(writes: &[(u64, TestWrite)]) -> Box<dyn Any + Send> {
+        let mut p = WritePayload::default();
+        for (idx, w) in writes {
+            let w = match *w {
+                TestWrite::Put(v, k) => WireWrite::Assign(v, k),
+                TestWrite::Add(parts) => {
+                    let start = p.parts.len() as u32;
+                    p.parts.extend_from_slice(parts);
+                    WireWrite::Accum {
+                        op: AccumOp::Add,
+                        f: f64::combine,
+                        parts: start..p.parts.len() as u32,
+                    }
+                }
+            };
+            p.entries.push((*idx, w));
         }
+        Box::new(p)
     }
 
     #[test]
     fn apply_resolves_across_sources_deterministically() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(4, 1), 0);
         // Two "remote" parcels plus a local one, unsorted source order.
-        let p2: Vec<(u64, WireWrite<f64>)> = vec![(1, WireWrite::Assign(20.0, key(9, 0)))];
-        let p0: Vec<(u64, WireWrite<f64>)> = vec![
-            (1, WireWrite::Assign(10.0, key(2, 3))),
-            (2, accum_parts(&[(0, 1.0)])),
-        ];
-        let p1: Vec<(u64, WireWrite<f64>)> = vec![(2, accum_parts(&[(5, 2.0)]))];
-        let (n, written) = ga.apply_writes(
-            vec![(2, Box::new(p2)), (0, Box::new(p0)), (1, Box::new(p1))],
-            &mut |_| {},
-        );
+        let p2 = payload(&[(1, TestWrite::Put(20.0, key(9, 0)))]);
+        let p0 = payload(&[
+            (1, TestWrite::Put(10.0, key(2, 3))),
+            (2, TestWrite::Add(&[(0, 1.0)])),
+        ]);
+        let p1 = payload(&[(2, TestWrite::Add(&[(5, 2.0)]))]);
+        let (n, written) = ga.apply_writes(vec![(2, p2), (0, p0), (1, p1)], &mut |_| {});
         assert_eq!(n, 4);
         assert_eq!(written, vec![1, 2], "distinct written indices, ascending");
         assert_eq!(ga.local[1], 20.0, "assign with highest WriteKey wins");
@@ -2288,12 +2287,9 @@ mod tests {
     #[test]
     fn accum_fold_is_rank_canonical_across_sources() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(1, 1), 0);
-        let from0: Vec<(u64, WireWrite<f64>)> = vec![(0, accum_parts(&[(0, 1e16), (2, 1.0)]))];
-        let from1: Vec<(u64, WireWrite<f64>)> = vec![(0, accum_parts(&[(1, -1e16)]))];
-        ga.apply_writes(
-            vec![(0, Box::new(from0)), (1, Box::new(from1))],
-            &mut |_| {},
-        );
+        let from0 = payload(&[(0, TestWrite::Add(&[(0, 1e16), (2, 1.0)]))]);
+        let from1 = payload(&[(0, TestWrite::Add(&[(1, -1e16)]))]);
+        ga.apply_writes(vec![(0, from0), (1, from1)], &mut |_| {});
         assert_eq!(
             ga.local[0], 1.0,
             "(1e16 + -1e16) + 1.0 — node-partial folding would give 0.0"
@@ -2328,9 +2324,9 @@ mod tests {
     #[should_panic(expected = "mixed across nodes")]
     fn apply_detects_cross_node_mix() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
-        let a: Vec<(u64, WireWrite<f64>)> = vec![(0, WireWrite::Assign(1.0, key(0, 0)))];
-        let b: Vec<(u64, WireWrite<f64>)> = vec![(0, accum_parts(&[(1, 1.0)]))];
-        ga.apply_writes(vec![(0, Box::new(a)), (1, Box::new(b))], &mut |_| {});
+        let a = payload(&[(0, TestWrite::Put(1.0, key(0, 0)))]);
+        let b = payload(&[(0, TestWrite::Add(&[(1, 1.0)]))]);
+        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {});
     }
 
     #[test]
@@ -2458,9 +2454,9 @@ mod tests {
     #[test]
     fn narray_apply_overwrites_and_clears() {
         let mut na: NArray<u64> = NArray::new(3);
-        na.buffer_assign(0, 5, key(0, 0));
-        na.buffer_accum(2, AccumOp::Max, 9);
-        na.buffer_accum(2, AccumOp::Max, 4);
+        na.wlog.assign(0, 5, key(0, 0));
+        na.wlog.accum(2, AccumOp::Max, 9, 0);
+        na.wlog.accum(2, AccumOp::Max, 4, 0);
         assert_eq!(na.apply(), 2);
         assert_eq!(na.data, vec![5, 0, 9]);
         assert_eq!(na.apply(), 0);
@@ -2470,15 +2466,194 @@ mod tests {
     fn drain_splits_by_owner_and_sorts() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(8, 4), 0);
         for idx in [7, 0, 3, 5, 1] {
-            ga.buffer_assign(idx, idx as u64, key(0, idx as u64));
+            ga.wlog.assign(idx, idx as u64, key(0, idx as u64));
         }
         let parcels = ga.drain_writes();
         let dests: Vec<usize> = parcels.iter().map(|p| p.dest).collect();
         assert_eq!(dests, vec![0, 1, 2, 3]);
         assert!(!ga.has_pending_writes());
         let p0 = parcels.into_iter().next().unwrap();
-        let entries = p0.payload.downcast::<Vec<(u64, WireWrite<u64>)>>().unwrap();
-        let idxs: Vec<u64> = entries.iter().map(|(i, _)| *i).collect();
+        let p0 = p0.payload.downcast::<WritePayload<u64>>().unwrap();
+        let idxs: Vec<u64> = p0.entries.iter().map(|(i, _)| *i).collect();
         assert_eq!(idxs, vec![0, 1], "entries sorted by index");
+    }
+
+    /// One write of the drain→apply property: VP `rank` writes `val` to
+    /// element `idx` (a put or an accumulate, by the element's kind),
+    /// merging in poll round `round` (clamped so each rank's rounds never
+    /// go back in program order).
+    #[derive(Debug, Clone)]
+    struct PropWrite {
+        rank: u64,
+        idx: usize,
+        round: u32,
+        val: f64,
+    }
+
+    impl crate::testkit::Shrink for PropWrite {}
+
+    #[derive(Debug, Clone)]
+    struct DrainCase {
+        nodes: usize,
+        /// 0 block, 1 cyclic, 2 weighted by `cuts`.
+        layout: u8,
+        len: usize,
+        cuts: Vec<usize>,
+        /// Host node of each VP rank (the random source split).
+        host: Vec<usize>,
+        /// Per element: accumulate-only, else put-only.
+        accum: Vec<bool>,
+        /// All writes, in program order per rank.
+        writes: Vec<PropWrite>,
+    }
+
+    impl crate::testkit::Shrink for DrainCase {
+        fn shrink(&self) -> Vec<Self> {
+            let w = self.writes.shrink();
+            w.into_iter()
+                .map(|writes| DrainCase {
+                    writes,
+                    ..self.clone()
+                })
+                .collect()
+        }
+    }
+
+    /// Drain each source node's log, apply every destination's parcels,
+    /// and compare bit for bit with a reference that sorts each element's
+    /// writes by (rank, program order) and folds; parcel sizes must follow
+    /// the distinct-(dest, idx) formula.
+    #[test]
+    fn drain_apply_matches_rank_order_reference() {
+        use crate::testkit::{forall, Gen};
+        use crate::{prop_assert, prop_assert_eq};
+        let gen = |g: &mut Gen| {
+            let nodes = g.usize_in(1..5);
+            let len = g.usize_in(1..600);
+            let mut cuts = g.vec(nodes - 1..nodes, |g| g.usize_in(0..len + 1));
+            cuts.sort_unstable();
+            let ranks = g.usize_in(1..9);
+            let tricky = [1e16, -1e16, 1.0, 0.5, -3.0];
+            DrainCase {
+                nodes,
+                layout: g.u32_in(0..3) as u8,
+                len,
+                cuts,
+                host: g.vec(ranks..ranks, |g| g.usize_in(0..nodes)),
+                accum: g.vec(len..len, |g| g.bool()),
+                writes: g.vec(0..120, |g| PropWrite {
+                    rank: g.u64_in(0..ranks as u64),
+                    idx: g.usize_in(0..len),
+                    round: g.u32_in(0..4),
+                    val: if g.bool() {
+                        tricky[g.usize_in(0..tricky.len())]
+                    } else {
+                        g.f64_in(-1.0..1.0)
+                    },
+                }),
+            }
+        };
+        forall("drain_apply_matches_rank_order_reference", 64, gen, |c| {
+            let n = c.nodes;
+            let dist = match c.layout {
+                0 => Dist::block(c.len, n),
+                1 => Dist::cyclic(c.len, n),
+                _ => {
+                    let bounds = std::iter::once(0)
+                        .chain(c.cuts.iter().copied())
+                        .chain([c.len]);
+                    Dist::weighted(c.len, n, std::sync::Arc::new(bounds.collect()))
+                }
+            };
+            // Program order gives each write its WriteKey seq; a rank's
+            // rounds are clamped monotone, and each node's log receives
+            // its ranks' writes in merge-arrival order: by round, then
+            // rank, then program order.
+            let mut seq = vec![0u64; c.host.len()];
+            let mut round = vec![0u32; c.host.len()];
+            let mut ws: Vec<(u32, WriteKey, &PropWrite)> = Vec::new();
+            for w in &c.writes {
+                let r = w.rank as usize;
+                round[r] = round[r].max(w.round);
+                ws.push((round[r], key(w.rank, seq[r]), w));
+                seq[r] += 1;
+            }
+            ws.sort_by_key(|&(round, k, _)| (round, k.vp));
+            let mut to_dest: Vec<Vec<(u32, Box<dyn Any + Send>)>> =
+                (0..n).map(|_| Vec::new()).collect();
+            for src in 0..n {
+                let mine: Vec<(WriteKey, &PropWrite)> = ws
+                    .iter()
+                    .filter(|(_, k, _)| c.host[k.vp as usize] == src)
+                    .map(|&(_, k, w)| (k, w))
+                    .collect();
+                let mut ga: GArray<f64> = GArray::new(dist.clone(), src);
+                for &(k, w) in &mine {
+                    if c.accum[w.idx] {
+                        ga.wlog.accum(w.idx, AccumOp::Add, w.val, k.vp);
+                    } else {
+                        ga.wlog.assign(w.idx, w.val, k);
+                    }
+                }
+                let mut distinct: Vec<(usize, usize)> = mine
+                    .iter()
+                    .map(|(_, w)| (dist.owner(w.idx), w.idx))
+                    .collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let parcels = ga.drain_writes();
+                prop_assert!(!ga.has_pending_writes());
+                let mut dests: Vec<usize> = distinct.iter().map(|(d, _)| *d).collect();
+                dests.dedup();
+                prop_assert_eq!(parcels.iter().map(|p| p.dest).collect::<Vec<_>>(), dests);
+                for p in parcels {
+                    let want = distinct.iter().filter(|(d, _)| *d == p.dest).count();
+                    prop_assert_eq!((p.entries, p.bytes), (want as u64, want * (9 + 8)));
+                    let flat = p
+                        .payload
+                        .downcast_ref::<WritePayload<f64>>()
+                        .expect("payload");
+                    for (_, w) in &flat.entries {
+                        if let WireWrite::Accum { parts, .. } = w {
+                            let r = parts.start as usize..parts.end as usize;
+                            prop_assert!(flat.parts[r].is_sorted_by_key(|q| q.0));
+                        }
+                    }
+                    to_dest[p.dest].push((src as u32, p.payload));
+                }
+            }
+            // Reference: each element's writes in (rank, program order).
+            let mut reference: BTreeMap<usize, Vec<(WriteKey, f64)>> = BTreeMap::new();
+            for &(_, k, w) in &ws {
+                reference.entry(w.idx).or_default().push((k, w.val));
+            }
+            for (dest, mut parcels) in to_dest.drain(..).enumerate() {
+                // Source order must not matter: apply in reverse.
+                parcels.reverse();
+                let mut ga: GArray<f64> = GArray::new(dist.clone(), dest);
+                let (_, written) = ga.apply_writes(parcels, &mut |_| {});
+                let owned: Vec<u64> = reference
+                    .keys()
+                    .filter(|&&i| dist.owner(i) == dest)
+                    .map(|&i| i as u64)
+                    .collect();
+                prop_assert_eq!(written, owned);
+                for (&idx, contribs) in reference.iter().filter(|(&i, _)| dist.owner(i) == dest) {
+                    let mut contribs = contribs.clone();
+                    contribs.sort_by_key(|&(k, _)| k);
+                    let want = if c.accum[idx] {
+                        contribs[1..].iter().fold(contribs[0].1, |a, &(_, v)| a + v)
+                    } else {
+                        contribs.last().expect("written element").1
+                    };
+                    let got = ga.local[dist.local_offset(idx)];
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        format!("element {idx}: {got} vs {want}")
+                    );
+                }
+            }
+            Ok(())
+        });
     }
 }
