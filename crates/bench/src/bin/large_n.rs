@@ -6,9 +6,9 @@
 //! pushes arm and fire), rank 0 accumulates the value into a shared sum
 //! and rewrites the node's own element. One seeded node dies permanently
 //! mid-run with buddy replication on, so a single job exercises the
-//! clock barrier at 10 dissemination rounds, the loads sidecar, refresh
-//! pushes, suspicion flood, death confirmation, and failover — all past
-//! the old 64/128-node fixed-width sidecar walls.
+//! clock barrier at 10 dissemination rounds, the routed sender-set
+//! exchange, refresh pushes, suspicion flood, death confirmation, and
+//! failover — all past the old 64/128-node fixed-width sidecar walls.
 //!
 //! For each node count the job runs once per `--threads` entry; the
 //! simulated results, makespan, and counters are asserted identical

@@ -1465,82 +1465,99 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
     }
 }
 
-/// Sparse-exchange sender-set allgather (DESIGN.md §17): ⌈log₂ N⌉
-/// dissemination rounds on the clock barrier's edge pattern, forwarding
-/// every known `(node, write-destination set)` pair whole and deduping
-/// through a [`NodeSet`] — exactly the barrier's loads-sidecar shape.
+/// The source-routing rule of the sender-set exchange and the refresh
+/// pushes (DESIGN.md §13, §17): an entry held by `holder` for `target`
+/// takes the round-`r` edge `holder → holder + d` (`d = 2^r`) iff bit `r`
+/// of `(target − holder) mod nodes` is set, so it makes exactly
+/// `popcount((target − source) mod nodes)` hops.
+fn takes_edge(holder: usize, target: usize, nodes: usize, d: usize) -> bool {
+    ((target + nodes - holder) % nodes) & d != 0
+}
+
+/// One step of the routed sender-set exchange on node `me`: land the
+/// previous round's batch `recv` (a pair for `me` adds its source to
+/// `expected`, any other is held), then take out of `held` and return the
+/// `(target, source)` pairs for the edge `me → me + d`.
+fn route_round(
+    held: &mut Vec<(u32, u32)>,
+    recv: Vec<(u32, u32)>,
+    expected: &mut NodeSet,
+    me: usize,
+    nodes: usize,
+    d: usize,
+) -> Vec<(u32, u32)> {
+    for (t, s) in recv {
+        if t as usize == me {
+            expected.insert(s as usize);
+        } else {
+            held.push((t, s));
+        }
+    }
+    let (out, keep) = std::mem::take(held)
+        .into_iter()
+        .partition(|&(t, _)| takes_edge(me, t as usize, nodes, d));
+    *held = keep;
+    out
+}
+
+/// Sparse-exchange sender sets (DESIGN.md §17): ⌈log₂ N⌉ dissemination
+/// rounds on the clock barrier's edge pattern, source-routing each
+/// `(target, source)` write pair to its one receiver by [`takes_edge`].
 /// Returns the set of peers that announced a non-empty [`K_WRITE`] bundle
 /// for this node this phase.
 ///
-/// Modeled free: zero wire bytes, no clock advance, no message counters.
-/// The N−1 empty tokens this replaces were equally free in simulated time
-/// (their only real cost was the O(N²) message count), so fault-free
-/// makespans stay bit-identical to the legacy protocol.
+/// Modeled free: zero wire bytes, no clock advance, no message counters,
+/// like the N−1 empty tokens this replaces (whose only real cost was the
+/// O(N²) message count), so fault-free makespans stay bit-identical to
+/// the legacy protocol. Every round sends its token, with pairs or not.
 ///
 /// Determinism note — this dissemination is also the exchange's *flush
 /// point*. A peer's phase-`phase` read requests are enqueued to this
 /// node's inbox before the peer's round-0 token send (program order on
-/// the peer), and that send transitively happens-before the token message
-/// that carries the peer's pair here (each hop forwards only after
-/// receiving). The per-endpoint inbox is one FIFO queue, so by the time
-/// the final round's `pump_recv` returns, every peer's phase-`phase`
-/// requests have been dequeued — and `pump_recv` services them inline.
-/// The legacy protocol derived the same guarantee from collecting all N−1
-/// bundles; step 4's deferred-counter and serve-history folds rely on it
-/// either way. No phase-`phase+1` token can arrive before step 6: a peer
-/// starts its next phase only after its clock barrier completes, which
-/// transitively requires this node's barrier sends.
+/// the peer), and after ⌈log₂ N⌉ rounds that send transitively
+/// happens-before this node's final token receive (each hop forwards only
+/// after receiving, whatever the payload). The per-endpoint inbox is one
+/// FIFO queue, so by the time the final round's `pump_recv` returns,
+/// every peer's phase-`phase` requests have been dequeued — and
+/// `pump_recv` services them inline. The legacy protocol derived the same
+/// guarantee from collecting all N−1 bundles; step 4's deferred-counter
+/// and serve-history folds rely on it either way. No phase-`phase+1`
+/// token can arrive before step 6: a peer starts its next phase only
+/// after its clock barrier completes, which transitively requires this
+/// node's barrier sends.
 ///
 /// [`K_WRITE`]: msgs::K_WRITE
 fn exchange_sender_sets(nc: &mut NodeCtx<'_>, phase: u64, my_writes: &NodeSet) -> NodeSet {
     let me = nc.node_id();
     let nodes = nc.num_nodes();
-    // The accumulated pair vector lives behind an `Arc`: each round's send
-    // is a refcount bump, not an O(2^round) entry copy (clone-audit,
-    // DESIGN.md §17). `Arc::make_mut` below copies-on-write only while the
-    // in-flight message still shares the allocation.
-    let mut writers: Arc<Vec<(u32, NodeSet)>> = Arc::new(vec![(me as u32, my_writes.clone())]);
-    let mut known = NodeSet::single(me);
+    let mut held: Vec<(u32, u32)> = my_writes.iter().map(|t| (t as u32, me as u32)).collect();
+    let mut expected = NodeSet::new();
+    let mut recv = Vec::new();
     let mut d = 1usize;
     let mut round = 0u32;
     while d < nodes {
         let to = (me + d) % nodes;
         let from = (me + nodes - d) % nodes;
+        let routed = route_round(&mut held, recv, &mut expected, me, nodes, d);
         let tag = msgs::tag(msgs::K_TOKENS, msgs::barrier_meta(phase, round));
         let now = nc.ep.clock.now();
         nc.send_msg(
-            Message::new(
-                me,
-                to,
-                tag,
-                now,
-                0,
-                TokenMsg {
-                    phase,
-                    writers: Arc::clone(&writers),
-                },
-            ),
+            Message::new(me, to, tag, now, 0, TokenMsg { phase, routed }),
             msgs::K_TOKENS,
         );
         let msg = nc.pump_recv(|m| m.tag == tag && m.src == from);
         let tm: TokenMsg = msg.take();
         debug_assert_eq!(tm.phase, phase);
-        let acc = Arc::make_mut(&mut writers);
-        for (n, ws) in tm.writers.iter() {
-            if !known.contains(*n as usize) {
-                known.insert(*n as usize);
-                acc.push((*n, ws.clone()));
-            }
-        }
+        recv = tm.routed;
         d <<= 1;
         round += 1;
     }
-    debug_assert_eq!(writers.len(), nodes, "sender-set allgather incomplete");
-    let expected: NodeSet = writers
-        .iter()
-        .filter(|(n, ws)| *n as usize != me && ws.contains(me))
-        .map(|(n, _)| *n as usize)
-        .collect();
+    // Land the last round's batch; no edge is left to take (`d ≥ nodes`).
+    let rest = route_round(&mut held, recv, &mut expected, me, nodes, d);
+    debug_assert!(
+        held.is_empty() && rest.is_empty(),
+        "sender pairs still held after the last routing round"
+    );
     if nc.ep.tracer.enabled() {
         nc.ep.tracer.instant(
             "token_exchange",
@@ -1581,14 +1598,12 @@ fn exchange_sender_sets(nc: &mut NodeCtx<'_>, phase: u64, my_writes: &NodeSet) -
 /// non-empty refresh payloads DO count as a bundle and bytes so the
 /// fig-bench traffic columns reflect them honestly.
 ///
-/// A third sidecar rides the same messages: `loads` — each node's
-/// compute+service time for the phase the barrier closes, forwarded whole
-/// each round (an allgather). After the final round every node holds the
-/// identical per-node load vector, which feeds the adaptive
-/// repartitioner's decision function one phase later (DESIGN.md §14).
-/// Like `inv_bits`, modeled free: it changes no clock and no counter, so
-/// makespans are bit-identical whether `adaptive_balance` is on or off —
-/// until a migration actually fires.
+/// With `adaptive_balance` on, a third sidecar rides the same messages:
+/// `loads` — each node's compute+service time for the closing phase,
+/// forwarded whole each round (an allgather), so every node ends with the
+/// identical per-node load vector that feeds the repartitioner one phase
+/// later (DESIGN.md §14). With the knob off nothing reads it, so it is not
+/// carried. Modeled free like `inv_bits`: it moves no clock or counter.
 /// Failure-tolerance sidecars (DESIGN.md §15) ride the same messages too:
 /// `suspect_bits` OR-floods like `inv_bits` so every live node confirms a
 /// death at the same boundary; the round-0 message (destination = cyclic
@@ -1609,37 +1624,26 @@ fn clock_barrier(
     let me = nc.node_id();
     let nodes = nc.num_nodes();
     if nodes == 1 {
-        // Single node: every read is local, the cache holds nothing. Still
-        // feed the balancer's window so its counters are uniform across
-        // node counts (rebalancing one node is a no-op anyway).
-        let mut inner = nc.inner.borrow_mut();
-        if inner.load_acc.len() != 1 {
-            inner.load_acc = vec![0; 1];
-        }
-        inner.load_acc[0] = inner.load_acc[0].saturating_add(my_load);
-        inner.load_window += 1;
+        // Single node: every read is local, the cache holds nothing, and
+        // one node never rebalances.
         return;
     }
     let cfg = nc.config();
     let net = cfg.machine.net;
-    let push_on = cfg.read_cache;
     let me_set = NodeSet::single(me);
     let mut inv = local_inv;
     // Refresh entries addressed to this node, absorbed only after the
     // invalidation sweep (the pushed values are post-exchange truth and
     // must survive it).
     let mut collected: Vec<CollectedRefresh> = Vec::new();
-    // Loads allgather state: every (node, load) pair this node knows.
-    // Round r's receive doubles the coverage, so the final round leaves
-    // all `nodes` entries here (asserted below). `known` mirrors the
-    // vector as a bitset so each received pair dedups in O(1) instead of
-    // an O(N) scan per entry (O(N²) per barrier at 1024 nodes).
-    // Arc'd for the same reason as `exchange_sender_sets`' pair vector:
-    // the allgather forwards the whole accumulated vector every round, so
-    // sending a refcount bump instead of an O(N)-entry clone keeps the
-    // barrier's copy work linear in N rather than N·log N.
-    let mut known_loads: Arc<Vec<(u32, u64)>> = Arc::new(vec![(me as u32, my_load)]);
-    let mut known = me_set.clone();
+    // Loads allgather state, only with `adaptive_balance` (its one reader)
+    // on: every (node, load) pair this node knows, and the same nodes as a
+    // bitset for O(1) dedup. Round r's receive doubles the coverage, so the
+    // final round leaves all `nodes` entries (asserted below). The vector
+    // rides an `Arc`: a send is a refcount bump, not an O(N) copy.
+    let mut loads = cfg
+        .adaptive_balance
+        .then(|| (Arc::new(vec![(me as u32, my_load)]), me_set.clone()));
     // Suspicion OR-flood state, seeded with this node's own detections.
     let mut suspects = local_suspect;
 
@@ -1650,22 +1654,16 @@ fn clock_barrier(
         let from = (me + nodes - d) % nodes;
         nc.ep.clock.advance_comm(net.overhead);
 
-        // Split the pending refresh entries: targets whose offset has this
-        // round's bit set travel on this edge; the rest stay for a later
-        // round.
+        // Split the pending refresh entries: targets that take this
+        // round's edge travel on it; the rest stay for a later round. The
+        // edge's target set is built only when something is pending.
         let mut refreshes: Vec<RefreshPart> = Vec::new();
         let mut refresh_bytes = 0u64;
-        if push_on {
-            let mut rt = NodeSet::new();
-            for t in 0..nodes {
-                if t != me && ((t + nodes - me) % nodes) & d != 0 {
-                    rt.insert(t);
-                }
-            }
-            let pending = {
-                let mut inner = nc.inner.borrow_mut();
-                std::mem::take(&mut inner.pending_refresh)
-            };
+        let pending = std::mem::take(&mut nc.inner.borrow_mut().pending_refresh);
+        if !pending.is_empty() {
+            let rt: NodeSet = (0..nodes)
+                .filter(|&t| takes_edge(me, t, nodes, d))
+                .collect();
             for part in pending {
                 let send_take: Vec<bool> = part.masks.iter().map(|m| m.intersects(&rt)).collect();
                 let keep_take: Vec<bool> =
@@ -1762,7 +1760,7 @@ fn clock_barrier(
                     replica: frame,
                     hosted_compute_ps: if round == 0 { hosted_ps } else { 0 },
                     refreshes,
-                    loads: Arc::clone(&known_loads),
+                    loads: loads.as_ref().map(|(acc, _)| Arc::clone(acc)),
                 },
             ),
             msgs::K_BARRIER,
@@ -1774,9 +1772,9 @@ fn clock_barrier(
         let bm: BarrierMsg = msg.take();
         inv.union_with(&bm.inv_bits);
         suspects.union_with(&bm.suspect_bits);
-        {
-            let acc = Arc::make_mut(&mut known_loads);
-            for &(n, l) in bm.loads.iter() {
+        if let (Some((acc, known)), Some(got)) = (loads.as_mut(), bm.loads) {
+            let acc = Arc::make_mut(acc);
+            for &(n, l) in got.iter() {
                 if !known.contains(n as usize) {
                     known.insert(n as usize);
                     acc.push((n, l));
@@ -1839,17 +1837,17 @@ fn clock_barrier(
     // Fold the complete load vector into the balancer's window. Every node
     // folds the identical vector at the identical boundary, so the window
     // stays replicated without ever being exchanged itself.
-    {
-        let mut inner = nc.inner.borrow_mut();
+    if let Some((all, _)) = loads {
         debug_assert_eq!(
-            known_loads.len(),
+            all.len(),
             nodes,
             "loads sidecar incomplete after the final dissemination round"
         );
+        let mut inner = nc.inner.borrow_mut();
         if inner.load_acc.len() != nodes {
             inner.load_acc = vec![0; nodes];
         }
-        for &(n, l) in known_loads.iter() {
+        for &(n, l) in all.iter() {
             let slot = &mut inner.load_acc[n as usize];
             *slot = slot.saturating_add(l);
         }
@@ -2381,4 +2379,125 @@ fn merge_counters(nc: &mut NodeCtx<'_>) {
     let mut inner = nc.inner.borrow_mut();
     let c = std::mem::take(&mut inner.counters);
     nc.ep.counters = nc.ep.counters.merge(&c);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::{forall, Gen};
+
+    /// Replay the routed sender-set exchange offline for every holder:
+    /// `pairs` are `(source, target)` write edges on `nodes` nodes. Checks
+    /// each node's `expected` against the brute-force `{s ≠ me : W_s ∋ me}`,
+    /// that nothing is left held, and that each pair makes exactly
+    /// `popcount((target − source) mod nodes)` hops.
+    fn replay(nodes: usize, pairs: &[(u32, u32)]) -> Result<(), String> {
+        if nodes == 0
+            || pairs
+                .iter()
+                .any(|&(s, t)| s == t || s.max(t) as usize >= nodes)
+        {
+            return Ok(()); // out of contract (a shrink candidate)
+        }
+        let mut writes = vec![NodeSet::new(); nodes];
+        for &(s, t) in pairs {
+            writes[s as usize].insert(t as usize);
+        }
+        let mut held: Vec<Vec<(u32, u32)>> = (0..nodes)
+            .map(|me| writes[me].iter().map(|t| (t as u32, me as u32)).collect())
+            .collect();
+        let mut expected = vec![NodeSet::new(); nodes];
+        let mut recv: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nodes];
+        let mut hops = vec![0u32; nodes * nodes];
+        let mut d = 1usize;
+        loop {
+            let out: Vec<Vec<(u32, u32)>> = (0..nodes)
+                .map(|me| {
+                    let batch = std::mem::take(&mut recv[me]);
+                    route_round(&mut held[me], batch, &mut expected[me], me, nodes, d)
+                })
+                .collect();
+            if d >= nodes {
+                if let Some(me) = (0..nodes).find(|&me| !out[me].is_empty() || !held[me].is_empty())
+                {
+                    return Err(format!("node {me} still holds pairs after the last round"));
+                }
+                break;
+            }
+            for (me, batch) in out.into_iter().enumerate() {
+                for &(t, s) in &batch {
+                    hops[t as usize * nodes + s as usize] += 1;
+                }
+                recv[(me + d) % nodes] = batch;
+            }
+            d <<= 1;
+        }
+        for (me, got) in expected.iter().enumerate() {
+            let brute: NodeSet = (0..nodes)
+                .filter(|&s| s != me && writes[s].contains(me))
+                .collect();
+            if *got != brute {
+                return Err(format!(
+                    "node {me}: expected {:?}, brute force {:?}",
+                    got.iter().collect::<Vec<_>>(),
+                    brute.iter().collect::<Vec<_>>()
+                ));
+            }
+        }
+        for s in 0..nodes {
+            for t in writes[s].iter() {
+                let want = ((t + nodes - s) % nodes).count_ones();
+                let got = hops[t * nodes + s];
+                if got != want {
+                    return Err(format!("pair {s} → {t}: {got} hops, want {want}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    const NODE_COUNTS: [usize; 2] = [256, 1024];
+
+    /// The fixed write-set patterns: empty, all-to-one (the ring's hot
+    /// node 0) and all-to-all, at every N in 1..=70 (past the old 64-bit
+    /// wall) and at 256 and 1024.
+    #[test]
+    fn routed_exchange_delivers_fixed_patterns() {
+        for nodes in (1..=70).chain(NODE_COUNTS) {
+            let n = nodes as u32;
+            let to_zero: Vec<(u32, u32)> = (1..n).map(|s| (s, 0)).collect();
+            let all: Vec<(u32, u32)> = (0..n)
+                .flat_map(|s| (0..n).filter(move |&t| t != s).map(move |t| (s, t)))
+                .collect();
+            for (what, pairs) in [
+                ("empty", Vec::new()),
+                ("all-to-one", to_zero),
+                ("all-to-all", all),
+            ] {
+                if let Err(e) = replay(nodes, &pairs) {
+                    panic!("{what} at {nodes} nodes: {e}");
+                }
+            }
+        }
+    }
+
+    /// Random write sets, shrinking to a minimal failing edge list.
+    #[test]
+    fn routed_exchange_delivers_random_write_sets() {
+        forall(
+            "routed_exchange_delivers_random_write_sets",
+            64,
+            |g: &mut Gen| {
+                let nodes = match g.usize_in(0..8) {
+                    0 => NODE_COUNTS[g.usize_in(0..2)],
+                    _ => g.usize_in(1..71),
+                };
+                let n = nodes as u32;
+                let pairs = g.vec(0..4 * nodes, |g| (g.u32_in(0..n), g.u32_in(0..n)));
+                let pairs = pairs.into_iter().filter(|&(s, t)| s != t).collect();
+                (nodes, pairs)
+            },
+            |(nodes, pairs): &(usize, Vec<(u32, u32)>)| replay(*nodes, pairs),
+        );
+    }
 }

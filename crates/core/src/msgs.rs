@@ -25,10 +25,10 @@ pub const K_ACK: u64 = 6;
 /// Adaptive-repartitioning migration bundle (one per peer per rebalance).
 pub const K_MIGRATE: u64 = 7;
 /// Sparse-exchange sender-set token (DESIGN.md §17): the O(log N)
-/// dissemination allgather of "which peers will I send a non-empty
-/// [`K_WRITE`] bundle this phase", run just before the write exchange so
-/// receivers block on exactly the announced senders instead of N−1
-/// mostly-empty bundles.
+/// dissemination rounds that source-route each "I will send you a
+/// non-empty [`K_WRITE`] bundle this phase" announcement to its receiver,
+/// run just before the write exchange so receivers block on exactly the
+/// announced senders instead of N−1 mostly-empty bundles.
 pub const K_TOKENS: u64 = 8;
 
 /// Human-readable name of a message kind (watchdog / panic diagnostics).
@@ -143,20 +143,21 @@ pub(crate) struct BarrierMsg {
     /// it advances its clock by this much inside the barrier.
     pub hosted_compute_ps: u64,
     pub refreshes: Vec<RefreshPart>,
-    /// Loads sidecar for the adaptive repartitioner (DESIGN.md §14): every
+    /// Loads sidecar for the adaptive repartitioner (DESIGN.md §14),
+    /// present only with `adaptive_balance` on: every
     /// `(node, compute+service picoseconds)` pair the sender knows for the
     /// phase this barrier closes. Forwarded whole each dissemination round
     /// (an allgather), so after the barrier every node holds the identical
     /// load vector. Like `inv_bits`, modeled free — it rides messages the
-    /// barrier sends anyway, keeping makespans bit-identical whether the
-    /// balance knob is on or off (until a migration actually happens).
+    /// barrier sends anyway, so carrying it or not changes no byte, clock
+    /// or counter (until a migration actually happens).
     ///
     /// Shared, not owned: the sender's accumulated vector is behind an
     /// `Arc`, so a dissemination send is a refcount bump instead of an
     /// O(N) copy per round (the transport is in-memory; nothing is
     /// serialized). The receiver folds entries it hasn't seen and drops
     /// the handle.
-    pub loads: Arc<Vec<(u32, u64)>>,
+    pub loads: Option<Arc<Vec<(u32, u64)>>>,
 }
 
 /// One snapshot-replica delta frame streamed to the buddy (DESIGN.md §15).
@@ -187,20 +188,19 @@ pub(crate) struct WriteBundleMsg {
 }
 
 /// Sender-set token for the sparse end-of-phase exchange (DESIGN.md §17).
-/// Every `(node, write-destination set)` pair the sender knows for this
-/// phase, forwarded whole each dissemination round (an allgather, exactly
-/// like [`BarrierMsg::loads`]). After ⌈log₂ N⌉ rounds every node holds all
-/// N pairs and derives its expected-sender set `{s : W_s ∋ me}` locally.
-/// Modeled free: like the empty tokens it replaces, a token carries zero
-/// wire bytes and advances no clock, so makespans are bit-identical to
-/// the legacy all-to-all.
+/// Carries the `(target, source)` pairs — "`source` will send `target` a
+/// non-empty K_WRITE bundle" — that take this round's dissemination edge,
+/// source-routed like the barrier's refresh pushes: after ⌈log₂ N⌉ rounds
+/// each pair has reached its target, which adds `source` to its expected
+/// senders. Every round sends its token, empty or not. Modeled free: like
+/// the empty tokens it replaces, a token carries zero wire bytes and
+/// advances no clock, so makespans are bit-identical to the legacy
+/// all-to-all.
 pub(crate) struct TokenMsg {
-    /// Global phase sequence the sets belong to (protocol checking).
+    /// Global phase sequence the pairs belong to (protocol checking).
     pub phase: u64,
-    /// `(node id, set of nodes it will send a non-empty K_WRITE bundle)`.
-    /// Shared like [`BarrierMsg::loads`]: sending is a refcount bump, not
-    /// an O(N)-entry copy per dissemination round.
-    pub writers: Arc<Vec<(u32, NodeSet)>>,
+    /// `(target, source)` pairs routed on this edge.
+    pub routed: Vec<(u32, u32)>,
 }
 
 /// Repartitioning migration bundle: the elements this node hands over to

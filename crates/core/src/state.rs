@@ -1949,9 +1949,9 @@ pub(crate) struct Inner {
     /// identical on every node.
     pub balanced: Vec<u32>,
     /// Per-node load (compute + service picoseconds) accumulated since the
-    /// last rebalance, replicated identically on every node by the free
-    /// loads sidecar of the clock barrier (`exec.rs`). Indexed by node id;
-    /// sized on first use.
+    /// last rebalance, replicated identically on every node by the clock
+    /// barrier's free loads sidecar (`exec.rs`), carried only with
+    /// `adaptive_balance` on. Indexed by node id; sized on first use.
     pub load_acc: Vec<u64>,
     /// Global phases folded into [`Self::load_acc`] since the last
     /// rebalance — the balancer's hysteresis window.

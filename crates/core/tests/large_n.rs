@@ -7,12 +7,16 @@
 //! - refresh pushes arm and fire at 65+ nodes,
 //! - a 256-node job with a seeded permanent death is bit-identical
 //!   across host-thread counts (CI's gating `large-n` matrix column),
-//! - a 1024-node smoke exercises the clock barrier, loads sidecar,
-//!   refresh pushes, death confirmation, and failover in one run —
-//!   bit-identical at 1 and 8 host threads (CI's non-gating perf job
-//!   runs the traced bench-bin variant, `bench/src/bin/large_n.rs`).
+//! - the routed sender-set exchange (DESIGN.md §17) delivers all-to-all
+//!   and all-to-one write sets at 72 nodes, checked against closed forms,
+//! - the balancer's loads sidecar, carried only with `adaptive_balance`
+//!   on, fires a rebalance at 72 nodes without changing results,
+//! - a 1024-node smoke exercises the clock barrier, refresh pushes,
+//!   death confirmation, and failover in one run — bit-identical at 1
+//!   and 8 host threads (CI's non-gating perf job runs the traced
+//!   bench-bin variant, `bench/src/bin/large_n.rs`).
 
-use ppm_core::{run, AccumOp, PpmConfig};
+use ppm_core::{run, run_traced, AccumOp, PpmConfig, TraceSink};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
 /// Past the old `u64` mask wall: at 65 nodes a twice-served element that
@@ -247,11 +251,164 @@ fn sparse_exchange_matches_legacy_bit_for_bit() {
     );
 }
 
+/// Nodes for the routed-exchange and loads-sidecar gates: past the old
+/// 64-bit wall, and not a power of two, so the last dissemination round
+/// wraps.
+const PAST_64: u32 = 72;
+
+/// Phases each write-pattern job runs.
+const ROUNDS: u64 = 3;
+
+/// One run of a write-pattern job for the routed sender-set exchange
+/// (DESIGN.md §17): every node owns one element, and in phase `r` of
+/// [`ROUNDS`] both VPs of node `s` accumulate `(s + 1)·(r + 1)` into the
+/// element of every other node (`all_to_all`) or into node 0's element
+/// only (the ring's pattern, node 0 included). An accumulate replaces the
+/// phase-start value, so the array ends as the last phase's fold.
+/// Returns the array, makespan and job counters.
+fn write_pattern_job(
+    nodes: u32,
+    host_threads: usize,
+    all_to_all: bool,
+) -> (Vec<u64>, SimTime, Counters) {
+    let cfg = PpmConfig::new(MachineConfig::new(nodes, 2)).with_host_threads(host_threads);
+    let n = nodes as usize;
+    let report = run(cfg, move |node| {
+        let a = node.alloc_global::<u64>(n);
+        let me = node.node_id();
+        node.ppm_do(2, move |vp| async move {
+            for round in 0..ROUNDS {
+                vp.global_phase(|ph| async move {
+                    let v = (me as u64 + 1) * (round + 1);
+                    if all_to_all {
+                        for t in (0..n).filter(|&t| t != me) {
+                            ph.accumulate(&a, t, AccumOp::Add, v);
+                        }
+                    } else {
+                        ph.accumulate(&a, 0, AccumOp::Add, v);
+                    }
+                })
+                .await;
+            }
+        });
+        let bits = node.gather_global(&a);
+        let violations = node.take_violations();
+        assert!(violations.is_empty(), "conformance: {violations:?}");
+        bits
+    });
+    let first = report.results[0].clone();
+    for (i, bits) in report.results.iter().enumerate() {
+        assert_eq!(bits, &first, "node {i} disagrees on the array");
+    }
+    (first, report.makespan(), report.total_counters())
+}
+
+/// Run a write-pattern job at 1 and 2 host threads, check the array
+/// against `closed_form` and that results, makespan and every counter
+/// are bit-identical across the two.
+fn check_write_pattern(all_to_all: bool, closed_form: impl Fn(u64) -> u64) {
+    let (base, base_t, base_c) = write_pattern_job(PAST_64, 1, all_to_all);
+    let want: Vec<u64> = (0..PAST_64 as u64).map(closed_form).collect();
+    assert_eq!(base, want, "the write exchange lost or duplicated bundles");
+    let (got, t, c) = write_pattern_job(PAST_64, 2, all_to_all);
+    assert_eq!(got, base, "results diverged across host-thread counts");
+    assert_eq!(t, base_t, "makespan diverged across host-thread counts");
+    assert_eq!(c, base_c, "counters diverged across host-thread counts");
+}
+
+/// All-to-all write sets past 64 nodes: every node expects a bundle from
+/// every peer, so each routed pair travels its full popcount path.
+/// Element `t` collects `2 · ROUNDS · Σ_{s ≠ t} (s + 1)`.
+#[test]
+fn routed_exchange_all_to_all_beyond_64_nodes() {
+    let n = PAST_64 as u64;
+    check_write_pattern(true, |t| 2 * ROUNDS * (n * (n + 1) / 2 - (t + 1)));
+}
+
+/// All-to-one write sets past 64 nodes (the ring's hot node 0): node 0
+/// expects N − 1 senders, every other node none. Element 0 collects
+/// `2 · ROUNDS · Σ_s (s + 1)`; the rest stay 0.
+#[test]
+fn routed_exchange_all_to_one_beyond_64_nodes() {
+    let n = PAST_64 as u64;
+    check_write_pattern(false, |t| {
+        if t == 0 {
+            2 * ROUNDS * n * (n + 1) / 2
+        } else {
+            0
+        }
+    });
+}
+
+/// One run of a skewed compute job on a balanced array, four elements per
+/// node: the first eighth of the elements costs 100× the rest, so the
+/// low nodes carry most of the load. One VP per node rewrites its live
+/// span (work follows data) for eight phases. Returns the array and the
+/// number of `rebalance` trace instants.
+fn skewed_balance_job(nodes: u32, adaptive: bool) -> (Vec<u64>, usize) {
+    let cfg = PpmConfig::new(MachineConfig::new(nodes, 1))
+        .with_adaptive_balance(adaptive)
+        .with_host_threads(1);
+    let len = 4 * nodes as usize;
+    let sink = TraceSink::new();
+    let report = run_traced(cfg, &sink, "skewed", move |node| {
+        let a = node.alloc_global_balanced::<u64>(len);
+        let start = node.local_range(&a).start;
+        node.with_local_mut(&a, |s| {
+            for (i, x) in s.iter_mut().enumerate() {
+                *x = (start + i) as u64;
+            }
+        });
+        node.ppm_do(1, move |vp| async move {
+            for _ in 0..8 {
+                let v2 = vp.clone();
+                vp.global_phase(|ph| async move {
+                    for i in v2.local_range(&a) {
+                        let v = ph.get(&a, i).await;
+                        v2.charge_flops(if i < len / 8 { 100_000 } else { 1_000 });
+                        ph.put(&a, i, v.wrapping_mul(3).wrapping_add(i as u64));
+                    }
+                })
+                .await;
+            }
+        });
+        let bits = node.gather_global(&a);
+        let violations = node.take_violations();
+        assert!(violations.is_empty(), "conformance: {violations:?}");
+        bits
+    });
+    let first = report.results[0].clone();
+    for (i, bits) in report.results.iter().enumerate() {
+        assert_eq!(bits, &first, "node {i} disagrees on the array");
+    }
+    let rebalances = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "rebalance")
+        .count();
+    (first, rebalances)
+}
+
+/// The loads sidecar past 64 nodes: it is carried only with
+/// `adaptive_balance` on, and there the skew must fire a rebalance (the
+/// sidecar reached every node, or the replicated decision would have
+/// diverged and the migration hung) while the results stay bit-identical
+/// to the adaptive-off run.
+#[test]
+fn loads_sidecar_rebalances_beyond_64_nodes() {
+    let (off, off_rebalances) = skewed_balance_job(PAST_64, false);
+    assert_eq!(off_rebalances, 0, "rebalanced with adaptive_balance off");
+    let (on, on_rebalances) = skewed_balance_job(PAST_64, true);
+    assert!(on_rebalances > 0, "the skew never fired a rebalance");
+    assert_eq!(on, off, "rebalancing changed the results");
+}
+
 /// The 1024-node smoke (ignored by default — wall-clock heavy; CI's
 /// `large-n` job runs it explicitly): clock barrier at 10 dissemination
-/// rounds, loads sidecar asserted complete, refresh pushes active, death
-/// of node 900 confirmed by 1023 survivors, failover adopted — all
-/// bit-identical at 1 and 8 host threads.
+/// rounds, refresh pushes active, death of node 900 confirmed by 1023
+/// survivors, failover adopted — all bit-identical at 1 and 8 host
+/// threads. It runs with `adaptive_balance` off, so it carries no loads
+/// sidecar; `loads_sidecar_rebalances_beyond_64_nodes` covers that.
 #[test]
 #[ignore = "wall-clock heavy; run explicitly (CI large-n job)"]
 fn smoke_1024_nodes_bit_identical() {
